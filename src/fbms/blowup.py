@@ -119,17 +119,10 @@ def reflect_double(mesh: TriangleMesh, plane) -> TriangleMesh:
 
     n = mesh.n_vertices
     mirrored, _ = _reflect_points(mesh.vertices, plane_point, plane_normal)
-    new_index = np.empty(n, dtype=int)
-    keep = []
-    counter = n
-    for i in range(n):
-        if mesh.constrained[i]:
-            new_index[i] = i  # seam vertex shared with the original
-        else:
-            new_index[i] = counter
-            counter += 1
-            keep.append(i)
-    vertices = np.vstack([mesh.vertices, mirrored[keep]])
+    free = ~mesh.constrained  # seam vertices are shared with the original
+    new_index = np.arange(n)
+    new_index[free] = n + np.arange(np.count_nonzero(free))
+    vertices = np.vstack([mesh.vertices, mirrored[free]])
     flipped = mesh.faces[:, [0, 2, 1]]
     faces = np.vstack([mesh.faces, new_index[flipped]])
     constrained = np.zeros(len(vertices), dtype=bool)

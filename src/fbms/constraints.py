@@ -27,8 +27,8 @@ class TurningBound:
     max_witness: tuple
 
     def __post_init__(self):
-        if self.kappa > 0:
-            assert abs(self.radius_R0 * self.kappa - 1.0) < 1e-9
+        if self.kappa > 0 and not abs(self.radius_R0 * self.kappa - 1.0) < 1e-9:
+            raise ValueError("radius_R0 must equal 1 / kappa")
 
 
 class LevelSetConstraint:
@@ -181,8 +181,6 @@ class LevelSetConstraint:
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             r = radius * rng.random(size=(4 * count, 1)) ** (1.0 / 3.0)
             pts = center + u * r
-            near = np.abs(self.phi(pts)) < np.inf  # keep all, filter after
-            pts = pts[near]
             try:
                 proj = self._project_batch(pts)
             except ProjectionError:

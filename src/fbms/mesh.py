@@ -10,7 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,11 +35,103 @@ class VertexField:
             raise ValueError("vertex field has non-finite entries")
 
 
+class Topology:
+    """Connectivity of one face set and its constrained flags, as arrays.
+
+    Built once per (faces, constrained) pair and shared by the meshes that
+    `TriangleMesh.with_vertices` derives. Half-edge 3 f + k runs from corner k
+    to corner k + 1 of face f. Edge keys lo * n + hi are sorted and counted
+    with np.unique; an edge used by one face is a boundary edge, oriented as
+    that face uses it.
+
+      edges             (E, 2) unique edges (lo, hi), lexicographic
+      edge_valence      (E,) number of faces using each edge
+      face_edges        (m, 3) edge index of the sides (a, b), (b, c), (c, a)
+      boundary_edges    (B, 2) oriented boundary edges, in face order
+      boundary_faces    (B,) the face of each boundary edge
+      boundary_opposite (B,) the vertex of that face opposite the edge
+      boundary_mask     (n,) vertex lies on a boundary edge
+      corner            (n,) constrained vertex where the constrained arc
+                        meets an unconstrained (pinned) boundary arc
+      neighbor_ptr, neighbors   1-ring in CSR form, neighbors ascending
+      boundary_loops    vertex lists (see _boundary_loops), or None when the
+                        boundary edges are not disjoint closed loops
+    """
+
+    def __init__(self, faces, constrained):
+        n, m = len(constrained), len(faces)
+        tail = faces.ravel()
+        head = faces[:, [1, 2, 0]].ravel()
+        keys, side_edge, valence = np.unique(
+            np.minimum(tail, head) * n + np.maximum(tail, head),
+            return_inverse=True, return_counts=True,
+        )
+        self.edges = np.stack([keys // n, keys % n], axis=1)
+        self.edge_valence = valence
+        self.face_edges = side_edge.reshape(m, 3)
+
+        half = np.nonzero(valence[side_edge] == 1)[0]
+        self.boundary_edges = np.stack([tail[half], head[half]], axis=1)
+        self.boundary_faces = half // 3
+        self.boundary_opposite = faces[half // 3, (half + 2) % 3]
+        self.boundary_mask = np.zeros(n, dtype=bool)
+        self.boundary_mask[self.boundary_edges] = True
+        ends = constrained[self.boundary_edges]
+        mixed = ends[:, 0] != ends[:, 1]
+        self.corner = np.zeros(n, dtype=bool)
+        self.corner[self.boundary_edges[mixed][ends[mixed]]] = True
+
+        both = np.concatenate([self.edges, self.edges[:, ::-1]])
+        both = both[np.argsort(both[:, 0] * n + both[:, 1])]
+        self.neighbors = both[:, 1]
+        self.neighbor_ptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(both[:, 0], minlength=n))]
+        )
+        for arr in vars(self).values():
+            arr.setflags(write=False)
+        self.boundary_loops = _boundary_loops(self.boundary_edges)
+
+
+def _boundary_loops(bedges):
+    """Closed loops of oriented boundary edges, by pointer doubling.
+
+    Each loop starts at its smallest vertex; loops come in order of it. Returns
+    None unless every boundary vertex has exactly one outgoing and one
+    incoming boundary edge.
+    """
+    verts = np.unique(bedges)
+    if not all(np.array_equal(np.sort(ends), verts) for ends in bedges.T):
+        return None
+    count = len(verts)
+    if count == 0:
+        return []
+    ids = np.arange(count)
+    pos = np.searchsorted(verts, bedges)
+    succ = np.empty(count, dtype=np.int64)
+    succ[pos[:, 0]] = pos[:, 1]
+    # label: the smallest (compressed) vertex of each loop
+    label, jump = ids, succ
+    for _ in range(count.bit_length()):
+        label, jump = np.minimum(label, label[jump]), jump[jump]
+    # rank: steps from the loop's start, by list ranking along predecessors
+    start = label == ids
+    pred = np.empty(count, dtype=np.int64)
+    pred[succ] = ids
+    rank, jump = (~start).astype(np.int64), np.where(start, ids, pred)
+    for _ in range(count.bit_length()):
+        rank, jump = rank + rank[jump], jump[jump]
+    order = np.lexsort((rank, label))
+    cuts = np.nonzero(np.diff(label[order]))[0] + 1
+    return [verts[run].tolist() for run in np.split(order, cuts)]
+
+
 class TriangleMesh:
     """Immersed surface with boundary, stored as an immutable indexed face set.
 
     `constrained` flags boundary vertices whose position must satisfy the
     constraint equation; it is carried by the mesh but interpreted elsewhere.
+    Connectivity (`topology`) and the per-face geometry of the vertex
+    positions are computed on first use and cached.
     """
 
     def __init__(self, vertices, faces, constrained=None):
@@ -60,7 +152,8 @@ class TriangleMesh:
         self.vertices.setflags(write=False)
         self.faces.setflags(write=False)
         self.constrained.setflags(write=False)
-        self._cache = {}
+        self._topology = None
+        self._frame = None
 
     # -- basic combinatorics -------------------------------------------------
 
@@ -72,64 +165,29 @@ class TriangleMesh:
     def n_faces(self):
         return len(self.faces)
 
-    def _edge_tables(self):
-        """Directed and undirected edge incidence, cached."""
-        if "edges" in self._cache:
-            return self._cache["edges"]
-        directed = {}
-        for fi, (a, b, c) in enumerate(self.faces):
-            for u, v in ((a, b), (b, c), (c, a)):
-                directed.setdefault((int(u), int(v)), []).append(fi)
-        undirected = {}
-        for (u, v), fis in directed.items():
-            key = (u, v) if u < v else (v, u)
-            undirected.setdefault(key, []).extend(fis)
-        self._cache["edges"] = (directed, undirected)
-        return directed, undirected
+    @property
+    def topology(self) -> Topology:
+        if self._topology is None:
+            self._topology = Topology(self.faces, self.constrained)
+        return self._topology
 
     def boundary_edges(self):
-        """Directed boundary edges (u, v), each on exactly one face."""
-        _, undirected = self._edge_tables()
-        directed, _ = self._edge_tables()
-        out = []
-        for (u, v), fis in undirected.items():
-            if len(fis) == 1:
-                # keep the orientation in which the face uses the edge
-                out.append((u, v) if (u, v) in directed else (v, u))
-        return out
+        """(B, 2) directed boundary edges (u, v), each on exactly one face."""
+        return self.topology.boundary_edges
 
     @property
     def boundary_loops(self):
         """Ordered boundary vertex loops, following face orientation."""
-        if "loops" in self._cache:
-            return self._cache["loops"]
-        nxt = {}
-        for u, v in self.boundary_edges():
-            nxt[u] = v
-        loops = []
-        seen = set()
-        for start in sorted(nxt):
-            if start in seen:
-                continue
-            loop = [start]
-            seen.add(start)
-            cur = nxt.get(start)
-            while cur is not None and cur != start and cur not in seen:
-                loop.append(cur)
-                seen.add(cur)
-                cur = nxt.get(cur)
-            loops.append(loop)
-        self._cache["loops"] = loops
+        loops = self.topology.boundary_loops
+        if loops is None:
+            raise ValueError("boundary edges do not form disjoint closed loops")
         return loops
 
     def boundary_vertices(self):
-        idx = sorted({v for loop in self.boundary_loops for v in loop})
-        return np.array(idx, dtype=np.int64)
+        return np.nonzero(self.topology.boundary_mask)[0]
 
     def is_boundary_vertex(self):
-        mask = np.zeros(self.n_vertices, dtype=bool)
-        mask[self.boundary_vertices()] = True
-        return mask
+        return self.topology.boundary_mask.copy()
 
     def diameter(self):
         lo = self.vertices.min(axis=0)
@@ -137,43 +195,66 @@ class TriangleMesh:
         return float(np.linalg.norm(hi - lo))
 
     def with_vertices(self, vertices):
-        """Same connectivity, new positions; combinatorial caches are shared."""
+        """Same connectivity, new positions; the topology is shared."""
         m = TriangleMesh(vertices, self.faces, self.constrained)
-        for key in ("edges", "loops", "bedge_faces"):
-            if key in self._cache:
-                m._cache[key] = self._cache[key]
+        m._topology = self._topology
         return m
 
     # -- metric quantities ---------------------------------------------------
 
-    def face_corner_vectors(self):
-        v = self.vertices
-        f = self.faces
-        return v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]
-
-    def face_normals_raw(self):
-        e1, e2 = self.face_corner_vectors()
-        return np.cross(e1, e2)  # |.| = 2 * face area
+    def _face_frame(self):
+        """Per face, as (3, m) component arrays from one gather of the vertex
+        coordinates: the sides opposite corners 0, 1, 2 (x2 - x1, x0 - x2,
+        x1 - x0), the raw normal (x1 - x0) x (x2 - x0), and its length, twice
+        the face area. Cached; the vertices are immutable."""
+        if self._frame is None:
+            x = np.take(np.ascontiguousarray(self.vertices.T), self.faces.T, axis=1)
+            sides = (x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0])
+            normals = _cross(sides[2], x[:, 2] - x[:, 0])
+            self._frame = (sides, normals, _norm(normals))
+        return self._frame
 
     def face_areas(self):
-        return 0.5 * np.linalg.norm(self.face_normals_raw(), axis=1)
+        return 0.5 * self._face_frame()[2]
+
+    def edge_lengths(self):
+        """(3, m) lengths of the sides (x0, x1), (x1, x2), (x2, x0) of each face."""
+        s0, s1, s2 = self._face_frame()[0]
+        return np.stack([_norm(s2), _norm(s0), _norm(s1)])
 
     def vertex_areas(self):
         """One-third barycentric lumped vertex areas."""
-        areas = np.zeros(self.n_vertices)
-        fa = self.face_areas() / 3.0
-        for k in range(3):
-            np.add.at(areas, self.faces[:, k], fa)
-        return areas
+        return _scatter_corners(self, np.tile(self.face_areas() / 3.0, 3))
 
     def boundary_length_weights(self):
         """Half the incident boundary edge lengths, per vertex (0 off-boundary)."""
-        w = np.zeros(self.n_vertices)
-        for u, v in self.boundary_edges():
-            ell = np.linalg.norm(self.vertices[u] - self.vertices[v])
-            w[u] += 0.5 * ell
-            w[v] += 0.5 * ell
-        return w
+        be = self.topology.boundary_edges
+        d = self.vertices[be[:, 0]] - self.vertices[be[:, 1]]
+        half = 0.5 * np.sqrt(np.vecdot(d, d))
+        return np.bincount(be.T.ravel(), np.tile(half, 2), minlength=self.n_vertices)
+
+
+def _scatter_corners(mesh, values):
+    """Sums values given per face corner (corner 0 of every face, then corner
+    1, then corner 2) into their vertices, in that order, as three np.add.at
+    calls would. `values` is (3m,), or (k, 3m) for k components."""
+    idx = mesh.faces.T.ravel()
+    if values.ndim == 1:
+        return np.bincount(idx, values, minlength=mesh.n_vertices)
+    return np.stack([np.bincount(idx, v, minlength=mesh.n_vertices) for v in values], axis=1)
+
+
+def _cross(a, b):
+    """a x b for (3, m) component arrays, rounded exactly as np.cross."""
+    return np.stack([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _norm(a):
+    """Lengths of (3, m) component arrays, summed in the order of
+    np.linalg.norm(axis=1) on the (m, 3) layout."""
+    return np.sqrt((a[0] * a[0] + a[1] * a[1]) + a[2] * a[2])
 
 
 # -- validation ---------------------------------------------------------------
@@ -182,17 +263,19 @@ class TriangleMesh:
 def validate_mesh(mesh: TriangleMesh) -> list[str]:
     """Invariant check; returns a list of violations (empty iff valid)."""
     violations = []
-    directed, undirected = mesh._edge_tables()
+    topo = mesh.topology
+    f = mesh.faces
+    n = mesh.n_vertices
 
-    for (u, v), fis in undirected.items():
-        if len(fis) > 2:
-            violations.append(f"edge ({u},{v}) shared by {len(fis)} faces")
-    for (u, v), fis in directed.items():
-        if len(fis) > 1:
-            violations.append(
-                f"edge appears twice in same direction ({u},{v}): "
-                "inconsistent face orientation"
-            )
+    shared = topo.edge_valence > 2
+    for (u, v), k in zip(topo.edges[shared].tolist(), topo.edge_valence[shared].tolist()):
+        violations.append(f"edge ({u},{v}) shared by {k} faces")
+    keys, counts = np.unique(f.ravel() * n + f[:, [1, 2, 0]].ravel(), return_counts=True)
+    for key in keys[counts > 1].tolist():
+        violations.append(
+            f"edge appears twice in same direction ({key // n},{key % n}): "
+            "inconsistent face orientation"
+        )
 
     diam = mesh.diameter()
     if diam == 0.0:
@@ -201,20 +284,15 @@ def validate_mesh(mesh: TriangleMesh) -> list[str]:
     areas = mesh.face_areas()
     for fi in np.nonzero(areas <= DEGENERATE_AREA_REL * diam * diam)[0]:
         violations.append(f"degenerate face {fi} (area {areas[fi]:.3g})")
+    repeated = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])
+    for fi in np.nonzero(repeated)[0]:
+        violations.append(f"degenerate face {fi} (repeated vertex)")
 
-    for fi, (a, b, c) in enumerate(mesh.faces):
-        if len({int(a), int(b), int(c)}) < 3:
-            violations.append(f"degenerate face {fi} (repeated vertex)")
-
-    # boundary loops must close and partition the boundary vertex set
-    bverts = {v for loop in mesh.boundary_loops for v in loop}
-    edge_bverts = {w for e in mesh.boundary_edges() for w in e}
-    if bverts != edge_bverts:
+    if topo.boundary_loops is None:
         violations.append("boundary loops do not partition the boundary vertices")
-    if mesh.constrained.any():
-        bad = set(np.nonzero(mesh.constrained)[0]) - edge_bverts
-        if bad:
-            violations.append(f"constrained flag on non-boundary vertices {sorted(bad)}")
+    bad = np.nonzero(mesh.constrained & ~topo.boundary_mask)[0]
+    if len(bad):
+        violations.append(f"constrained flag on non-boundary vertices {bad.tolist()}")
     return violations
 
 
@@ -223,10 +301,8 @@ def validate_mesh(mesh: TriangleMesh) -> list[str]:
 
 def vertex_normals(mesh: TriangleMesh) -> VertexField:
     """Area-weighted average of incident face normals, unit length."""
-    raw = mesh.face_normals_raw()  # already area-weighted
-    acc = np.zeros((mesh.n_vertices, 3))
-    for k in range(3):
-        np.add.at(acc, mesh.faces[:, k], raw)
+    raw = mesh._face_frame()[1]  # already area-weighted
+    acc = _scatter_corners(mesh, np.tile(raw, 3))
     norms = np.linalg.norm(acc, axis=1)
     if np.any(norms < 1e-12):
         bad = np.nonzero(norms < 1e-12)[0]
@@ -274,59 +350,92 @@ def mean_curvature_vector(mesh: TriangleMesh) -> VertexField:
 
 def area_gradient_raw(mesh: TriangleMesh) -> np.ndarray:
     """Exact gradient of total discrete area with respect to vertex positions."""
-    v = mesh.vertices
-    f = mesh.faces
-    n = mesh.face_normals_raw()
-    nrm = np.maximum(np.linalg.norm(n, axis=1), 1e-300)
-    nhat = n / nrm[:, None]
-    grad = np.zeros_like(v)
-    for k in range(3):
-        i = f[:, k]
-        j = f[:, (k + 1) % 3]
-        o = f[:, (k + 2) % 3]
-        # d(face area)/d(x_i) = 0.5 * nhat x (x_o - x_j)
-        np.add.at(grad, i, 0.5 * np.cross(nhat, v[o] - v[j]))
-    return grad
+    sides, n, nrm = mesh._face_frame()
+    nhat = n / np.maximum(nrm, 1e-300)
+    # d(face area)/d(x_k) = 0.5 * nhat x (side opposite corner k)
+    return _scatter_corners(mesh, np.concatenate([0.5 * _cross(nhat, s) for s in sides], axis=1))
 
 
 def second_fundamental_norm(mesh: TriangleMesh):
     """Per-vertex |A|^2 from a least-squares shape-operator fit over the 1-ring.
 
-    Returns (field, unreliable) where `unreliable` lists vertices with fewer
-    than 3 distinct 1-ring directions.
+    At vertex i, with u_j and w_j the tangent-plane coordinates of x_j - x_i
+    and nu_j - nu_i over the neighbors j, the shape operator S minimizes
+    sum |S^T u_j - w_j|^2; all vertices are solved at once from their 2x2
+    normal equations. Returns (field, unreliable) where `unreliable` lists
+    vertices with fewer than 3 neighbors or whose u_j do not span the tangent
+    plane (smallest singular value at most 1e-10).
     """
     normals = vertex_normals(mesh).values
-    neighbors = [set() for _ in range(mesh.n_vertices)]
-    for a, b, c in mesh.faces:
-        neighbors[a].update((b, c))
-        neighbors[b].update((a, c))
-        neighbors[c].update((a, b))
+    topo = mesh.topology
+    n = mesh.n_vertices
+    rows = np.repeat(np.arange(n), np.diff(topo.neighbor_ptr))
+    cols = topo.neighbors
+    t1 = _any_orthonormal(normals)
+    t2 = np.cross(normals, t1)
+    e = mesh.vertices[cols] - mesh.vertices[rows]
+    dn = normals[cols] - normals[rows]
+    u = [np.einsum("ij,ij->i", e, t[rows]) for t in (t1, t2)]
+    w = [np.einsum("ij,ij->i", dn, t[rows]) for t in (t1, t2)]
 
-    values = np.zeros(mesh.n_vertices)
-    unreliable = []
-    for i in range(mesh.n_vertices):
-        nb = sorted(neighbors[i])
-        nu = normals[i]
-        t1 = _any_orthonormal(nu)
-        t2 = np.cross(nu, t1)
-        U, W = [], []
-        for j in nb:
-            e = mesh.vertices[j] - mesh.vertices[i]
-            u = np.array([e @ t1, e @ t2])
-            dn = normals[j] - normals[i]
-            w = np.array([dn @ t1, dn @ t2])
-            U.append(u)
-            W.append(w)
-        U = np.array(U)
-        W = np.array(W)
-        if len(nb) < 3 or np.linalg.matrix_rank(U, tol=1e-10) < 2:
-            unreliable.append(i)
-            values[i] = 0.0
-            continue
-        S, *_ = np.linalg.lstsq(U, W, rcond=None)
-        S = 0.5 * (S + S.T)  # shape operator, symmetrized
-        values[i] = float(np.sum(S * S))
-    return VertexField(values, "scalar"), unreliable
+    def vsum(x):
+        return np.bincount(rows, x, minlength=n)
+
+    a, b, c = vsum(u[0] * u[0]), vsum(u[0] * u[1]), vsum(u[1] * u[1])
+    # the Gram determinant a c - b^2 as a times the squared residual of the
+    # second column against the first, free of cancellation
+    ratio = np.divide(b, a, out=np.zeros(n), where=a > 0)
+    r = u[1] - ratio[rows] * u[0]
+    det = a * vsum(r * r)
+    lam_max = 0.5 * (a + c + np.hypot(a - c, 2.0 * b))
+    sigma_min_sq = np.divide(det, lam_max, out=np.zeros(n), where=lam_max > 0)
+    reliable = (np.diff(topo.neighbor_ptr) >= 3) & (sigma_min_sq > 1e-20)
+
+    # S = G^{-1} B with G = [[a, b], [b, c]] and B[p, q] = sum u_p w_q
+    B = [[vsum(u[p] * w[q]) for q in (0, 1)] for p in (0, 1)]
+    inv_det = np.divide(1.0, det, out=np.zeros(n), where=reliable)
+    s00 = (c * B[0][0] - b * B[1][0]) * inv_det
+    s01 = (c * B[0][1] - b * B[1][1]) * inv_det
+    s10 = (a * B[1][0] - b * B[0][0]) * inv_det
+    s11 = (a * B[1][1] - b * B[0][1]) * inv_det
+    sym = 0.5 * (s01 + s10)  # shape operator, symmetrized
+    values = np.where(reliable, s00 * s00 + 2.0 * sym * sym + s11 * s11, 0.0)
+    return VertexField(values, "scalar"), np.nonzero(~reliable)[0].tolist()
+
+
+def _conormals(mesh: TriangleMesh) -> np.ndarray:
+    """(n, 3) outward unit conormals, NaN rows off the boundary; see
+    boundary_conormal. Row dot products use np.vecdot, which rounds as the
+    1-D `a @ b` and np.linalg.norm of one row do (BLAS ddot)."""
+    topo = mesh.topology
+    v = mesh.vertices
+    be, opp = topo.boundary_edges, topo.boundary_opposite
+    d = v[be[:, 1]] - v[be[:, 0]]
+    dn = np.sqrt(np.vecdot(d, d))
+    keep = dn >= 1e-300
+    be, opp, d, dn = be[keep], opp[keep], d[keep], dn[keep]
+    dhat = d / dn[:, None]
+    w = 0.5 * (v[be[:, 0]] + v[be[:, 1]]) - v[opp]
+    w = w - np.vecdot(w, dhat)[:, None] * dhat
+    wn = np.sqrt(np.vecdot(w, w))
+    keep = wn >= 1e-14
+    be, w = be[keep], w[keep] / wn[keep, None]
+
+    # average over the incident edges, then make tangent to the surface
+    ends = be.ravel()
+    count = np.bincount(ends, minlength=mesh.n_vertices)
+    total = np.stack([np.bincount(ends, np.repeat(c, 2), minlength=mesh.n_vertices)
+                      for c in w.T], axis=1)
+    idx = np.nonzero(count)[0]
+    m = total[idx] / count[idx, None]
+    nu = vertex_normals(mesh).values[idx]
+    m = m - np.vecdot(m, nu)[:, None] * nu
+    mn = np.sqrt(np.vecdot(m, m))
+    if np.any(mn < 1e-12):
+        raise ValueError(f"undefined conormal at boundary vertex {idx[mn < 1e-12][0]}")
+    eta = np.full((mesh.n_vertices, 3), np.nan)
+    eta[idx] = m / mn[:, None]
+    return eta
 
 
 def boundary_conormal(mesh: TriangleMesh):
@@ -336,45 +445,9 @@ def boundary_conormal(mesh: TriangleMesh):
     projects tangent to the surface, and renormalizes. Returns a dict
     {vertex index: unit vector}.
     """
-    normals = vertex_normals(mesh).values
-    if "bedge_faces" in mesh._cache:
-        face_of_edge = mesh._cache["bedge_faces"]
-    else:
-        directed, _ = mesh._edge_tables()
-        # locate, for each boundary edge, the single face using it
-        face_of_edge = {}
-        for (u, v), fis in directed.items():
-            if (v, u) not in directed:
-                face_of_edge[(u, v)] = fis[0]
-        mesh._cache["bedge_faces"] = face_of_edge
-
-    per_vertex = {}
-    for (u, v), fi in face_of_edge.items():
-        a, b, c = (int(x) for x in mesh.faces[fi])
-        opp = ({a, b, c} - {u, v}).pop()
-        d = mesh.vertices[v] - mesh.vertices[u]
-        dn = np.linalg.norm(d)
-        if dn < 1e-300:
-            continue
-        dhat = d / dn
-        w = 0.5 * (mesh.vertices[u] + mesh.vertices[v]) - mesh.vertices[opp]
-        w = w - (w @ dhat) * dhat
-        wn = np.linalg.norm(w)
-        if wn < 1e-14:
-            continue
-        w /= wn
-        for x in (u, v):
-            per_vertex.setdefault(x, []).append(w)
-
-    eta = {}
-    for i, ws in per_vertex.items():
-        m = np.mean(ws, axis=0)
-        m = m - (m @ normals[i]) * normals[i]  # tangent to the surface
-        mn = np.linalg.norm(m)
-        if mn < 1e-12:
-            raise ValueError(f"undefined conormal at boundary vertex {i}")
-        eta[i] = m / mn
-    return eta
+    eta = _conormals(mesh)
+    idx = np.nonzero(~np.isnan(eta[:, 0]))[0]
+    return dict(zip(idx.tolist(), eta[idx]))
 
 
 def total_area(mesh: TriangleMesh) -> float:
@@ -382,35 +455,23 @@ def total_area(mesh: TriangleMesh) -> float:
 
 
 def refine(mesh: TriangleMesh) -> TriangleMesh:
-    """Midpoint 1-to-4 subdivision; no re-projection of constrained midpoints."""
-    _, undirected = mesh._edge_tables()
-    edge_keys = sorted(undirected)
-    mid_index = {e: mesh.n_vertices + k for k, e in enumerate(edge_keys)}
-    mids = np.array(
-        [0.5 * (mesh.vertices[u] + mesh.vertices[v]) for u, v in edge_keys]
-    ).reshape(-1, 3)
-    verts = np.vstack([mesh.vertices, mids])
+    """Midpoint 1-to-4 subdivision; no re-projection of constrained midpoints.
 
-    bedges = {tuple(sorted(e)) for e in mesh.boundary_edges()}
-    constrained = np.zeros(len(verts), dtype=bool)
-    constrained[: mesh.n_vertices] = mesh.constrained
-    for (u, v), k in mid_index.items():
-        if (u, v) in bedges and mesh.constrained[u] and mesh.constrained[v]:
-            constrained[k] = True
-
-    faces = []
-    for a, b, c in mesh.faces:
-        ab = mid_index[tuple(sorted((int(a), int(b))))]
-        bc = mid_index[tuple(sorted((int(b), int(c))))]
-        ca = mid_index[tuple(sorted((int(c), int(a))))]
-        faces.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-    return TriangleMesh(verts, np.array(faces, dtype=np.int64), constrained)
+    The midpoint of topology edge k becomes vertex n_vertices + k; it is
+    constrained when its edge is a boundary edge between constrained vertices.
+    """
+    topo = mesh.topology
+    u, v = topo.edges.T
+    verts = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[u] + mesh.vertices[v])])
+    on_arc = (topo.edge_valence == 1) & mesh.constrained[u] & mesh.constrained[v]
+    a, b, c = mesh.faces.T
+    ab, bc, ca = (mesh.n_vertices + topo.face_edges).T
+    faces = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
+    return TriangleMesh(verts, faces.reshape(-1, 3), np.concatenate([mesh.constrained, on_arc]))
 
 
 def _any_orthonormal(n):
-    """A unit vector orthogonal to unit n."""
-    k = np.argmin(np.abs(n))
-    e = np.zeros(3)
-    e[k] = 1.0
+    """Per row of unit vectors n, a unit vector orthogonal to it."""
+    e = np.eye(3)[np.argmin(np.abs(n), axis=1)]
     t = np.cross(n, e)
-    return t / np.linalg.norm(t)
+    return t / np.linalg.norm(t, axis=1, keepdims=True)

@@ -61,8 +61,9 @@ class DensityProfile:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["r", "mass", "theta", "deficit_to_next"])
         for j, r in enumerate(self.radii):
-            d = self.deficits[j] if j < len(self.deficits) else ""
-            w.writerow([repr(r), repr(self.masses[j]), repr(self.theta[j]), repr(d) if d != "" else ""])
+            d = repr(float(self.deficits[j])) if j < len(self.deficits) else ""
+            w.writerow([repr(float(r)), repr(float(self.masses[j])),
+                        repr(float(self.theta[j])), d])
         return buf.getvalue()
 
     def to_json_dict(self):

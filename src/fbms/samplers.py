@@ -73,9 +73,7 @@ def disk(radius=1.0, n_radial=16, n_angular=64, constrain_boundary=True):
     verts = np.array(verts)
     mesh = TriangleMesh(verts, np.array(faces, dtype=np.int64))
     if constrain_boundary:
-        flags = np.zeros(len(verts), dtype=bool)
-        flags[mesh.boundary_vertices()] = True
-        mesh = TriangleMesh(verts, mesh.faces, flags)
+        mesh = TriangleMesh(verts, mesh.faces, mesh.is_boundary_vertex())
     return mesh
 
 
@@ -139,9 +137,7 @@ def catenoid(t_min=-1.0, t_max=1.0, nt=32, ntheta=64, scale=1.0,
     verts = np.array(verts)
     mesh = TriangleMesh(verts, np.array(faces, dtype=np.int64))
     if constrain_boundary:
-        flags = np.zeros(len(verts), dtype=bool)
-        flags[mesh.boundary_vertices()] = True
-        mesh = TriangleMesh(verts, mesh.faces, flags)
+        mesh = TriangleMesh(verts, mesh.faces, mesh.is_boundary_vertex())
     return mesh
 
 
@@ -209,40 +205,3 @@ def icosphere(subdivisions=3, radius=1.0):
         v = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1, keepdims=True)
         mesh = mesh.with_vertices(v)
     return mesh.with_vertices(mesh.vertices * radius)
-
-
-def cylinder(radius=1.0, z_range=(-1.0, 1.0), nz=16, ntheta=64):
-    """Open cylinder about the z-axis."""
-    zs = np.linspace(*z_range, nz + 1)
-    verts = []
-    for z in zs:
-        for j in range(ntheta):
-            th = 2 * np.pi * j / ntheta
-            verts.append((radius * np.cos(th), radius * np.sin(th), z))
-    faces = []
-    for i in range(nz):
-        for j in range(ntheta):
-            jn = (j + 1) % ntheta
-            a = i * ntheta + j
-            b = i * ntheta + jn
-            c = (i + 1) * ntheta + j
-            d = (i + 1) * ntheta + jn
-            faces.append((a, b, d))
-            faces.append((a, d, c))
-    return TriangleMesh(np.array(verts), np.array(faces, dtype=np.int64))
-
-
-def tilted_half_disk(angle=0.1, n_radial=16, n_angular=32, constraint=None):
-    """Half disk tilted about its boundary diameter (the x-axis).
-
-    With `constraint` given (e.g. the unit sphere), the curved boundary is
-    re-projected onto it after tilting.
-    """
-    mesh = half_disk(1.0, n_radial, n_angular)
-    c, s = np.cos(angle), np.sin(angle)
-    R = np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
-    v = mesh.vertices @ R.T
-    if constraint is not None:
-        idx = np.nonzero(mesh.constrained)[0]
-        v[idx] = constraint.project(v[idx])
-    return TriangleMesh(v, mesh.faces, mesh.constrained)

@@ -332,14 +332,16 @@ def run_scenario(config: dict, out_dir, seed=None) -> RunManifest:
         if analysis.get("stability") and is_mesh:
             stage = "stability"
             t0 = time.perf_counter()
-            import warnings as _w
+            import warnings
 
-            with _w.catch_warnings():
-                _w.simplefilter("ignore")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 report = is_stable(geometry, constraint)
             manifest.stage_seconds[stage] = time.perf_counter() - t0
+            stability = report.to_json_dict()
+            stability["warnings"] = [str(w.message) for w in caught]
             manifest.outputs["stability.json"] = _write(
-                out / "stability.json", _json_dump(report.to_json_dict())
+                out / "stability.json", _json_dump(stability)
             )
             # the stage passes when the eigenpair converged; stability itself
             # is a finding, not a failure

@@ -2,9 +2,9 @@
 
 Q(f) = integral |grad f|^2 - |A|^2 f^2 over the surface, minus the Robin-type
 boundary term (second form of the constraint in the surface-normal direction)
-integrated along the constrained boundary. The ambient is flat, so the Ricci
-contribution is a parameter fixed to zero. Stability means Q >= 0 on all
-scalar fields, certified by the lowest generalized eigenvalue.
+integrated along the constrained boundary. The ambient is flat, so there is
+no Ricci term. Stability means Q >= 0 on all scalar fields, certified by the
+lowest generalized eigenvalue.
 """
 
 from __future__ import annotations
@@ -36,14 +36,12 @@ class StabilityForm:
     stiffness K carries the Dirichlet energy, potential P the lumped |A|^2
     term, boundary B the lumped constraint second-form term (supported on
     constrained boundary vertices only), mass M the lumped vertex areas.
-    ricci_normal is the flat-ambient placeholder, identically zero here.
     """
 
     stiffness: sp.csr_matrix
     potential: sp.csr_matrix
     boundary: sp.csr_matrix
     mass: sp.csr_matrix
-    ricci_normal: float = 0.0
 
     def __post_init__(self):
         n = self.mass.shape[0]

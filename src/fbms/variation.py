@@ -17,7 +17,7 @@ from .mesh import (
     TriangleMesh,
     VertexField,
     area_gradient_raw,
-    boundary_conormal,
+    _conormals,
     mean_curvature_vector,
     total_area,
     validate_mesh,
@@ -108,21 +108,16 @@ def free_boundary_residual(mesh: TriangleMesh, constraint, on_tol=1e-6):
         raise ValueError(f"boundary vertex off constraint: {off.tolist()}")
     # corners where the constrained arc meets a pinned boundary arc have a
     # conormal averaged over both regimes; they carry no orthogonality claim
-    corner = set()
-    for u, v in mesh.boundary_edges():
-        if mesh.constrained[u] != mesh.constrained[v]:
-            corner.add(u if mesh.constrained[u] else v)
-    eta = boundary_conormal(mesh)
     n = constraint.unit_normal(mesh.vertices[idx])
-    angles = {}
-    for k, i in enumerate(idx):
-        if int(i) in corner:
-            continue
-        c = abs(float(eta[int(i)] @ n[k]))
-        angles[int(i)] = float(np.arccos(min(1.0, c)))
-    if not angles:
+    check = ~mesh.topology.corner[idx]
+    eta = _conormals(mesh)[idx[check]]
+    if np.isnan(eta).any():
+        raise ValueError("constrained vertex without a boundary conormal")
+    c = np.abs(np.vecdot(eta, n[check]))
+    if not len(c):
         return 0.0, {}
-    return max(angles.values()), angles
+    angles = np.arccos(np.minimum(1.0, c))
+    return float(angles.max()), dict(zip(idx[check].tolist(), angles.tolist()))
 
 
 def area_gradient(mesh: TriangleMesh, constraint) -> VertexField:
@@ -132,18 +127,11 @@ def area_gradient(mesh: TriangleMesh, constraint) -> VertexField:
     T N at the projected foot point. Unconstrained boundary: pinned (zero).
     """
     g = area_gradient_raw(mesh)
-    boundary = mesh.is_boundary_vertex()
-    pinned = boundary & ~mesh.constrained
-    g[pinned] = 0.0
+    topo = mesh.topology
     # corners joining the constrained arc to a pinned arc stay pinned too:
     # their discrete gradient mixes both regimes and is O(h) spurious
-    corner = pinned.copy()
-    corner[:] = False
-    for u, v in mesh.boundary_edges():
-        if mesh.constrained[u] != mesh.constrained[v]:
-            corner[u if mesh.constrained[u] else v] = True
-    g[corner] = 0.0
-    idx = np.nonzero(mesh.constrained & ~corner)[0]
+    g[(topo.boundary_mask & ~mesh.constrained) | topo.corner] = 0.0
+    idx = np.nonzero(mesh.constrained & ~topo.corner)[0]
     if len(idx):
         feet = constraint.project(mesh.vertices[idx])
         n = constraint.unit_normal(feet)
@@ -151,23 +139,20 @@ def area_gradient(mesh: TriangleMesh, constraint) -> VertexField:
     return VertexField(g, "vector")
 
 
-def _max_aspect_ratio(mesh: TriangleMesh) -> float:
-    v = mesh.vertices
-    f = mesh.faces
-    e = np.stack(
-        [
-            np.linalg.norm(v[f[:, 1]] - v[f[:, 0]], axis=1),
-            np.linalg.norm(v[f[:, 2]] - v[f[:, 1]], axis=1),
-            np.linalg.norm(v[f[:, 0]] - v[f[:, 2]], axis=1),
-        ],
-        axis=1,
-    )
-    longest = e.max(axis=1)
-    areas = np.maximum(mesh.face_areas(), 1e-300)
-    # inradius-based aspect: longest edge over inscribed-circle diameter
-    s = 0.5 * e.sum(axis=1)
-    inradius = areas / s
-    return float((longest / (2.0 * inradius)).max())
+def _max_aspect_ratio(mesh: TriangleMesh):
+    """Evaluates a trial mesh: (max aspect ratio, total area, shortest edge).
+
+    All three come from the mesh's one vertices[faces] gather, which stays
+    cached on it: an accepted trial hands its normals and areas on to the
+    next gradient. The aspect ratio is the longest edge over the diameter of
+    the inscribed circle.
+    """
+    e = mesh.edge_lengths()
+    areas = mesh.face_areas()
+    longest = np.maximum(np.maximum(e[0], e[1]), e[2])
+    s = 0.5 * ((e[0] + e[1]) + e[2])  # the order of e.sum(axis=1) on (m, 3)
+    inradius = np.maximum(areas, 1e-300) / s
+    return float((longest / (2.0 * inradius)).max()), float(areas.sum()), float(e.min())
 
 
 def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None = None):
@@ -182,6 +167,8 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
 
     mesh = initial
     area = total_area(mesh)
+    min_edge = float(mesh.edge_lengths().min())
+    cidx = np.nonzero(mesh.constrained)[0]
     area_history = [area]
     grad_history = []
     ortho_history = []
@@ -216,32 +203,23 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
             break
 
         # step cap: no vertex moves more than a fraction of the shortest edge
-        v, f = mesh.vertices, mesh.faces
-        min_edge = min(
-            float(np.linalg.norm(v[f[:, 1]] - v[f[:, 0]], axis=1).min()),
-            float(np.linalg.norm(v[f[:, 2]] - v[f[:, 1]], axis=1).min()),
-            float(np.linalg.norm(v[f[:, 0]] - v[f[:, 2]], axis=1).min()),
-        )
-        dmax = float(np.linalg.norm(d, axis=1).max())
-        t_cap = params.max_displacement_frac * min_edge / max(dmax, 1e-300)
+        t_cap = params.max_displacement_frac * min_edge / max(gnorm, 1e-300)
 
         # Armijo backtracking with halving; growing restart step. The
         # constraint projection is part of the trial step, so sufficient
         # decrease is tested on the actual next iterate.
-        cidx = np.nonzero(mesh.constrained)[0]
         project_now = it % params.reproject_every == 0
         accepted = False
         t = min(step * 2.0, t_cap)
         for _ in range(30):
             vcand = mesh.vertices + t * d
             if project_now and len(cidx):
-                vcand = vcand.copy()
                 vcand[cidx] = constraint.project(vcand[cidx])
             cand = mesh.with_vertices(vcand)
-            if _max_aspect_ratio(cand) > ASPECT_RATIO_LIMIT:
+            aspect, cand_area, cand_min_edge = _max_aspect_ratio(cand)
+            if aspect > ASPECT_RATIO_LIMIT:
                 t *= 0.5
                 continue
-            cand_area = total_area(cand)
             if cand_area <= area + params.armijo_c * t * slope:
                 accepted = True
                 break
@@ -254,7 +232,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         unprojected_area = total_area(mesh.with_vertices(mesh.vertices + t * d))
         if cand_area > unprojected_area + t * t * max(1.0, abs(slope)):
             reproj_flag = True
-        mesh, area = cand, cand_area
+        mesh, area, min_edge = cand, cand_area, cand_min_edge
         area_history.append(area)
 
     try:

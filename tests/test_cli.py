@@ -1,5 +1,6 @@
 """Scenario configs, the run pipeline, and the command line front end."""
 
+import csv
 import json
 import tarfile
 
@@ -85,6 +86,39 @@ def test_run_scenario_strip_pipeline(tmp_path):
     assert "stage_seconds" not in manifest
     stability = json.loads((tmp_path / "strip" / "stability.json").read_text())
     assert stability["stable"] is True
+
+
+FAST_SCENARIOS = ("strip-on-plane", "disk-in-ball", "half-catenoid-double",
+                  "halfplane-monotone", "radial-segment-k1")
+
+
+def test_report_files_parse(tmp_path):
+    catalog = builtin_scenarios()
+    for name in FAST_SCENARIOS:
+        out = tmp_path / name
+        assert run_scenario(catalog[name], out).all_passed()
+        for path in out.glob("*.csv"):
+            rows = list(csv.reader(path.read_text().splitlines()))
+            assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows)
+            for row in rows[1:]:
+                [float(x) for x in row if x != ""]
+        for path in out.glob("*.json"):
+            json.loads(path.read_text())
+    assert (tmp_path / "disk-in-ball" / "density.csv").exists()
+
+
+def test_stability_warnings_are_recorded(tmp_path):
+    # the strip's grid corners have two neighbors: |A|^2 is unreliable there
+    run_scenario(_strip_config(), tmp_path / "strip")
+    stability = json.loads((tmp_path / "strip" / "stability.json").read_text())
+    assert stability["warnings"] == ["unreliable |A|^2 at vertices [12, 156]"]
+    cfg = builtin_scenarios()["disk-in-ball"]
+    cfg = dict(cfg, solver=None, analysis={"stability": True},
+               initial_mesh={"builtin": "spherical_cap_graph", "params": {"bulge": 0.1}})
+    run_scenario(cfg, tmp_path / "cap")
+    stability = json.loads((tmp_path / "cap" / "stability.json").read_text())
+    assert [w.split(" (")[0] for w in stability["warnings"]] == [
+        "mesh does not verify as minimal"]
 
 
 def test_run_scenario_polyline_oracle(tmp_path):

@@ -1,10 +1,16 @@
 """Level-set constraint primitives, projection, and turning bound."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbms import constraints
 from fbms.constraints import (
     Ellipsoid,
     Graph,
@@ -101,8 +107,24 @@ def test_kappa_rejects_tiny_sample():
 
 
 def test_turning_bound_consistency_checked():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="1 / kappa"):
         TurningBound(kappa=2.0, radius_R0=1.0, sample_count=100, max_witness=())
+    TurningBound(kappa=2.0, radius_R0=0.5, sample_count=100, max_witness=())
+
+
+def test_turning_bound_check_survives_optimized_mode():
+    # `python -O` strips assert statements; the check must not be one
+    code = (
+        "from fbms.constraints import TurningBound\n"
+        "try:\n"
+        "    TurningBound(kappa=2.0, radius_R0=1.0, sample_count=100, max_witness=())\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(constraints.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
 def test_normal_second_form_sphere_and_plane():
