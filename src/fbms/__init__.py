@@ -1,7 +1,5 @@
 """fbms: a numerical laboratory for free boundary minimal surfaces."""
 
-from ._kernels import clip_backend
-
 __version__ = "0.1.0"
 
-__all__ = ["clip_backend", "__version__"]
+__all__ = ["__version__"]

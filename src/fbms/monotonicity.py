@@ -104,9 +104,9 @@ def _segment_length_in_ball(a, b, p, r):
 def mass_in_ball(geometry, p, r) -> BallMass:
     """Area (mesh, k=2) or length (polyline, k=1) inside the ball B(p, r).
 
-    Mesh triangles crossing the sphere are midpoint-subdivided until the edge
-    length drops below r * 1e-3 and classified by centroid; segments are
-    clipped exactly.
+    Both are clipped exactly: each triangle by the disk its plane cuts from
+    the ball, each segment by the ball. The count is of the triangles or
+    segments the sphere cuts.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -151,7 +151,7 @@ def deficit_integral(geometry, p, sigma, rho, Lambda1, gamma) -> float:
     return float(
         _kernels.deficit_sum_tris(
             a[keep], b[keep], c[keep], n, p, float(sigma), float(rho),
-            float(Lambda1), float(gamma), k=2,
+            float(Lambda1), float(gamma),
         )
     )
 

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .blowup import reflect_double
@@ -246,6 +247,9 @@ def _config_hash(config: dict) -> str:
 @dataclass
 class RunManifest:
     version: str
+    # NumPy and SciPy are the build inputs that reach the output bytes
+    numpy_version: str
+    scipy_version: str
     scenario: str
     scenario_hash: str
     seed: int
@@ -261,6 +265,8 @@ class RunManifest:
     def to_json_dict(self, with_timings=True):
         d = {
             "version": self.version,
+            "numpy_version": self.numpy_version,
+            "scipy_version": self.scipy_version,
             "scenario": self.scenario,
             "scenario_hash": self.scenario_hash,
             "seed": self.seed,
@@ -291,6 +297,8 @@ def run_scenario(config: dict, out_dir, seed=None) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         version=__version__,
+        numpy_version=np.__version__,
+        scipy_version=scipy.__version__,
         scenario=config["name"],
         scenario_hash=_config_hash(config),
         seed=config["seed"],

@@ -4,7 +4,9 @@ import csv
 import json
 import tarfile
 
+import numpy as np
 import pytest
+import scipy
 
 from fbms.cli import emit_report_bundle
 from fbms.cli import main as cli_main
@@ -84,6 +86,8 @@ def test_run_scenario_strip_pipeline(tmp_path):
     manifest = json.loads((tmp_path / "strip" / "manifest.json").read_text())
     assert manifest["scenario"] == "strip-on-plane"
     assert "stage_seconds" not in manifest
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["scipy_version"] == scipy.__version__
     stability = json.loads((tmp_path / "strip" / "stability.json").read_text())
     assert stability["stable"] is True
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbms._kernels import clip_py, deficit_sum_tris, mass_in_ball_tris
+from fbms._kernels import mass_in_ball_tris
 from fbms.constraints import Plane, Sphere
 from fbms.monotonicity import (
     Polyline,
@@ -36,7 +36,7 @@ def test_disk_mass_quadratic_in_radius():
     p = np.zeros(3)
     for r in (0.2, 0.4):
         got = mass_in_ball(m, p, r).mass
-        assert abs(got - np.pi * r * r) < 2e-3 * np.pi * r * r
+        assert abs(got - np.pi * r * r) < 1e-12 * np.pi * r * r
 
 
 @settings(max_examples=20, deadline=None)
@@ -111,7 +111,7 @@ def test_halfplane_profile_constant_and_monotone():
     N = Plane((0, 0, 0), (1, 0, 0))
     prof = density_profile(m, N, np.zeros(3), default_radius_grid(0.5, levels=4))
     # half disk mass pi r^2 / 2; gamma = 0 on a plane, so Theta = pi/2
-    assert np.allclose(prof.theta, np.pi / 2, rtol=1e-2)
+    assert np.allclose(prof.theta, np.pi / 2, rtol=1e-12)
     report = check_monotonicity(prof)
     assert report.passed
     assert report.minimal_verified
@@ -174,18 +174,67 @@ def test_radius_grid_dyadic():
     assert grid == [0.1, 0.2, 0.4, 0.8]
 
 
-def test_backends_agree_on_mass_and_deficit():
-    m = critical_catenoid(24, 24)
-    v, f = m.vertices, m.faces
-    a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+def _soup(mesh):
+    v, f = mesh.vertices, mesh.faces
+    return v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+
+
+@pytest.mark.parametrize("n", [12, 24, 48])
+def test_disk_mass_exact_off_and_on_plane(n):
+    # the ball cuts the disk's plane in a disk of radius sqrt(r^2 - h^2)
+    a, b, c = _soup(disk(1.0, n, 3 * n))
+    for r in (0.1, 0.25, 0.4):
+        for h in (0.0, 0.03, 0.5 * r, 0.9 * r):
+            p = np.array([0.07, -0.04, h])
+            mass, _ = mass_in_ball_tris(a, b, c, p, r)
+            want = np.pi * (r * r - h * h)
+            assert abs(mass - want) <= 1e-12 * want
+    assert mass_in_ball_tris(a, b, c, np.array([0.0, 0.0, 0.5]), 0.4) == (0.0, 0)
+
+
+def test_triangle_mass_at_vertex_is_sector():
+    # a tilted triangle with the base point at each of its vertices in turn:
+    # the ball inside the opposite edge cuts a sector alpha r^2 / 2
+    rot = np.linalg.qr(np.array([[0.3, -0.8, 0.5], [0.9, 0.2, -0.4],
+                                 [0.1, 0.6, 0.7]]))[0]
+    tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.1, 0.0], [0.3, 0.9, 0.0]])
+    tri = (tri + np.array([0.2, -0.7, 0.4])) @ rot.T
+    r = 0.2
+    for i in range(3):
+        u, v, w = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
+        e1, e2 = v - u, w - u
+        alpha = np.arccos(e1 @ e2 / (np.linalg.norm(e1) * np.linalg.norm(e2)))
+        mass, crossing = mass_in_ball_tris(tri[0], tri[1], tri[2], u, r)
+        assert abs(mass - 0.5 * alpha * r * r) <= 1e-12 * alpha * r * r
+        assert crossing == 1
+
+
+def _distance_to_triangle(p, a, b, c):
     n = np.cross(b - a, c - a)
-    n /= np.linalg.norm(n, axis=1, keepdims=True)
-    p = v[int(np.argmax(v[:, 2]))]
-    for r in (0.15, 0.3):
-        m1, c1 = mass_in_ball_tris(a, b, c, p, r)
-        m2, c2 = clip_py.mass_in_ball_tris(a, b, c, p, r)
-        assert abs(m1 - m2) < 1e-10 * (1 + abs(m2))
-        assert c1 == c2
-    d1 = deficit_sum_tris(a, b, c, n, p, 0.1, 0.3, 12.0, 2.0)
-    d2 = clip_py.deficit_sum_tris(a, b, c, n, p, 0.1, 0.3, 12.0, 2.0)
-    assert abs(d1 - d2) < 1e-8 * (1 + abs(d2))
+    n /= np.linalg.norm(n)
+    q = p - ((p - a) @ n) * n
+    inside = all(np.cross(y - x, q - x) @ n >= 0
+                 for x, y in ((a, b), (b, c), (c, a)))
+    if inside:
+        return abs((p - a) @ n)
+    best = np.inf
+    for x, y in ((a, b), (b, c), (c, a)):
+        t = np.clip((p - x) @ (y - x) / ((y - x) @ (y - x)), 0.0, 1.0)
+        best = min(best, np.linalg.norm(p - x - t * (y - x)))
+    return best
+
+
+def test_crossing_count_matches_brute_force():
+    # the sphere cuts a triangle iff its nearest point is inside the ball
+    # and its farthest vertex is outside
+    m = critical_catenoid(24, 24)
+    a, b, c = _soup(m)
+    for p in (m.vertices[int(np.argmax(m.vertices[:, 2]))],
+              np.array([0.55, 0.12, 0.03])):
+        near = np.array([_distance_to_triangle(p, *t) for t in zip(a, b, c)])
+        far = np.max([np.linalg.norm(x - p, axis=1) for x in (a, b, c)], axis=0)
+        for r in (0.15, 0.3):
+            assert min(np.abs(near - r).min(), np.abs(far - r).min()) > 1e-6
+            _, crossing = mass_in_ball_tris(a, b, c, p, r)
+            assert crossing == int(np.count_nonzero((near < r) & (far > r)))
+            assert crossing > 0
