@@ -374,6 +374,15 @@ class Torus(LevelSetConstraint):
     def band(self):
         return self.r
 
+    def _project_batch(self, x):
+        d = x - self.center
+        s = np.hypot(d[:, 0], d[:, 1])
+        # every point of the core circle is equally near an axis point, so
+        # the nearest-point map is undefined there (and Hess phi is singular)
+        if np.any(s <= 1e-12 * (1.0 + np.linalg.norm(d, axis=1))):
+            raise ProjectionError("query point on the torus axis")
+        return super()._project_batch(x)
+
 
 class Graph(LevelSetConstraint):
     """N = {z = h(x, y)} for a quadratic height function h."""

@@ -12,6 +12,7 @@ import copy
 import hashlib
 import json
 import time
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -187,6 +188,22 @@ _TOP_KEYS = {
     "solver", "analysis", "seed",
 }
 _ANALYSIS_KEYS = {"stability", "monotonicity", "fermi", "doubling"}
+# keys each analysis block must carry: its stage reads them without a default
+_ANALYSIS_REQUIRED = {
+    "monotonicity": ("base_point", "radii"),
+    "fermi": ("base_point",),
+    "doubling": ("plane_point", "plane_normal"),
+}
+
+
+def _check_builds(what, build, spec):
+    """Builds a nested spec with its own constructor, as a stage would."""
+    try:
+        build(spec)
+    except KeyError as exc:
+        raise ScenarioError(f"{what} is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid {what}: {exc}") from None
 
 
 def validate_config(config: dict) -> dict:
@@ -223,6 +240,17 @@ def validate_config(config: dict) -> dict:
     bad = set(analysis) - _ANALYSIS_KEYS
     if bad:
         raise ScenarioError(f"unknown analysis keys: {sorted(bad)}")
+    for key, required in _ANALYSIS_REQUIRED.items():
+        if key not in analysis:
+            continue
+        if not isinstance(analysis[key], dict):
+            raise ScenarioError(f"analysis.{key} must be an object")
+        missing = [r for r in required if r not in analysis[key]]
+        if missing:
+            raise ScenarioError(f"analysis.{key} is missing {missing}")
+    _check_builds("constraint", constraint_from_spec, config["constraint"])
+    if config.get("solver") is not None:
+        _check_builds("solver", lambda spec: SolveParams(**spec), config["solver"])
     out = copy.deepcopy(config)
     out.setdefault("seed", 0)
     out.setdefault("solver", None)
@@ -340,8 +368,6 @@ def run_scenario(config: dict, out_dir, seed=None) -> RunManifest:
         if analysis.get("stability") and is_mesh:
             stage = "stability"
             t0 = time.perf_counter()
-            import warnings
-
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 report = is_stable(geometry, constraint)
@@ -351,8 +377,8 @@ def run_scenario(config: dict, out_dir, seed=None) -> RunManifest:
             manifest.outputs["stability.json"] = _write(
                 out / "stability.json", _json_dump(stability)
             )
-            # the stage passes when the eigenpair converged; stability itself
-            # is a finding, not a failure
+            # the stage passes when the residual measured on the returned pair
+            # is small; stability itself is a finding, not a failure
             manifest.stage_pass[stage] = bool(report.residual <= 1e-8)
 
         if "monotonicity" in analysis:

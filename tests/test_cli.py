@@ -188,6 +188,36 @@ def test_cli_bundle_reports_missing_outputs(tmp_path, capsys):
     assert "doubled.obj" in err
 
 
+def _without(spec, key):
+    return {k: v for k, v in spec.items() if k != key}
+
+
+_DISK = builtin_scenarios()["disk-in-ball"]
+_STRIP = builtin_scenarios()["strip-on-plane"]
+BAD_CONFIGS = {
+    "solver-key": dict(_STRIP, solver={"max_iterations": 10, "max_iters": 5}),
+    "constraint-type": dict(_STRIP, constraint={"type": "cone", "apex": [0, 0, 0]}),
+    "constraint-key": dict(_STRIP, constraint={"type": "sphere", "radius": 1.0}),
+    "monotonicity-base": dict(_DISK, analysis={
+        "monotonicity": _without(_DISK["analysis"]["monotonicity"], "base_point")}),
+    "fermi-base": dict(_DISK, analysis={
+        "fermi": _without(_DISK["analysis"]["fermi"], "base_point")}),
+    "doubling-plane": dict(_STRIP, analysis={
+        "doubling": _without(_STRIP["analysis"]["doubling"], "plane_normal")}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_cli_run_rejects_bad_nested_config(tmp_path, capsys, case):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_CONFIGS[case]))
+    out = tmp_path / "out"
+    assert cli_main(["run", str(path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]
+    assert not out.exists()
+
+
 def test_cli_seed_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FBMS_SEED", "123")
     assert cli_main(["run", "strip-on-plane", "--out", str(tmp_path)]) == 0

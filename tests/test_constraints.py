@@ -70,6 +70,7 @@ def test_sphere_projection_fails_at_center():
         Sphere((0, 0, 0), 1.0).project(np.zeros(3))
 
 
+@pytest.mark.filterwarnings("error")
 def test_torus_projection_fails_on_axis():
     with pytest.raises(ProjectionError):
         Torus((0, 0, 0), 2.0, 0.5).project(np.array([0.0, 0.0, 0.1]))

@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.optimize import brentq
 from scipy.spatial import cKDTree
+from scipy.special import i0, i1
 
 from fbms.blowup import reflect_double
 from fbms.constraints import Plane, Sphere
@@ -100,6 +102,32 @@ def test_disk_eigenvalue_stable_under_refinement():
         form = assemble_stability_form(mesh, BALL)
         lam.append(lowest_eigenpair(form)[0])
     assert abs(lam[1] - lam[0]) < 0.05 * abs(lam[1])
+
+
+def test_disk_lowest_eigenvalue_converges_at_second_order():
+    # |A|^2 = 0 on the flat disk, so the ground state is f = I0(x r) with
+    # lambda_1 = -x^2; the sphere's Robin condition f'(1) = f(1) fixes x by
+    # x I1(x) / I0(x) = 1. The error must fall by about 4 per halving of h.
+    x = brentq(lambda t: t * i1(t) / i0(t) - 1.0, 0.5, 3.0)
+    errors = []
+    for n in (12, 24, 48):
+        form = assemble_stability_form(disk(1.0, n, 4 * n), BALL)
+        lam, vec, res = lowest_eigenpair(form)
+        errors.append(abs(lam + x * x))
+        assert res <= 1e-10
+        assert vec.values.min() > 0.0
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.0 <= coarse / fine <= 5.0
+
+
+def test_catenoid_ground_state_is_positive():
+    form = assemble_stability_form(critical_catenoid(48, 48), BALL)
+    lam, vec, res = lowest_eigenpair(form)
+    assert res <= 1e-10
+    assert vec.values.min() > 0.0
+    m = form.mass.diagonal()
+    assert np.isclose(vec.values @ (m * vec.values), 1.0, rtol=1e-12)
+    assert np.isclose(quadratic_form_value(form, vec), lam, rtol=1e-12)
 
 
 def test_doubling_preserves_even_mode_rayleigh_quotients():
