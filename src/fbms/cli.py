@@ -53,6 +53,8 @@ def cmd_list(_args) -> int:
         line = f"{name:<{width}}  {desc}  stages: {'+'.join(stages)}"
         if extra:
             line += f"  ({extra})"
+        if "expect" in cfg:
+            line += f"  expect: {json.dumps(cfg['expect'], sort_keys=True)}"
         print(line)
     return 0
 
@@ -78,14 +80,19 @@ def cmd_run(args) -> int:
     else:
         manifests = [one(c) for c in configs]
 
+    # the exit code says whether every outcome is the declared one
     ok = True
     for man in manifests:
-        status = "pass" if man.all_passed() else "FAIL"
+        problems = man.mismatches()
+        if problems:
+            status = "FAIL"
+        else:
+            status = "pass" if man.all_passed() else "as expected"
         print(f"{man.scenario}: {status} "
               f"(stages: {', '.join(f'{k}={v}' for k, v in sorted(man.stage_pass.items()))})")
-        if man.failure:
-            print(f"  failure at stage {man.failure['stage']}: {man.failure['error']}")
-        ok = ok and man.all_passed()
+        for problem in problems:
+            print(f"  {problem}")
+        ok = ok and not problems
     return 0 if ok else 1
 
 

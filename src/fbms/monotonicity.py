@@ -22,6 +22,8 @@ from . import _kernels
 from .mesh import TriangleMesh
 from .variation import verify_minimal
 
+POLYLINE_QUAD_POINTS = 4096  # midpoint samples per segment of the k = 1 deficit
+
 
 @dataclass(frozen=True)
 class Polyline:
@@ -156,7 +158,7 @@ def deficit_integral(geometry, p, sigma, rho, Lambda1, gamma) -> float:
     )
 
 
-def _deficit_polyline(poly, p, sigma, rho, Lambda1, gamma, n_quad=4096):
+def _deficit_polyline(poly, p, sigma, rho, Lambda1, gamma):
     v = poly.vertices
     if v.shape[1] == 2:
         v = np.hstack([v, np.zeros((len(v), 1))])
@@ -167,7 +169,7 @@ def _deficit_polyline(poly, p, sigma, rho, Lambda1, gamma, n_quad=4096):
         L = np.linalg.norm(b - a)
         if L < 1e-300:
             continue
-        t = (np.arange(n_quad) + 0.5) / n_quad
+        t = (np.arange(POLYLINE_QUAD_POINTS) + 0.5) / POLYLINE_QUAD_POINTS
         x = a + t[:, None] * (b - a)
         r = np.linalg.norm(x - p, axis=1)
         ok = (r > sigma) & (r < rho)
@@ -177,7 +179,7 @@ def _deficit_polyline(poly, p, sigma, rho, Lambda1, gamma, n_quad=4096):
         gr = (x[ok] - p) / r[ok][:, None]
         perp2 = 1.0 - (gr @ u) ** 2  # normal component squared, k = 1
         w = np.exp(Lambda1 * r[ok]) * perp2 / ((1.0 + gamma * r[ok]) * r[ok])
-        total += float(w.sum()) * L / n_quad
+        total += float(w.sum()) * L / POLYLINE_QUAD_POINTS
     return total
 
 

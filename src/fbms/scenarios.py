@@ -3,7 +3,9 @@
 A scenario bundles an initial geometry, a constraint, solver parameters, and
 analysis toggles into a versioned JSON config. The pipeline runs the enabled
 stages in fixed order (solve, verify, stability, monotonicity, fermi,
-doubling) and writes one deterministic report file per stage.
+doubling) and writes one deterministic report file per stage. An optional
+`expect` block declares the outcome a scenario is designed to have; without
+one, every stage must pass.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import __version__
 from .blowup import reflect_double
 from .constraints import constraint_from_spec
 from .fermi import GridSpec, build_chart, graph_extract, neumann_residual
-from .mesh import TriangleMesh, mean_curvature_vector, vertex_normals
+from .mesh import mean_curvature_vector, vertex_normals
 from .monotonicity import (
     Polyline,
     check_monotonicity,
@@ -150,6 +152,10 @@ def builtin_scenarios():
             "constraint": {"type": "sphere", "center": [0, 0, 0], "radius": 1.0},
             "solver": {"max_iterations": 300},
             "analysis": {"stability": True},
+            "expect": {
+                "stage_pass": {"solve": False, "verify": False, "stability": True},
+                "solve": {"termination": "max_iterations"},
+            },
             "seed": 0,
         },
         "halfplane-monotone": {
@@ -185,7 +191,7 @@ def builtin_scenarios():
 
 _TOP_KEYS = {
     "schema_version", "name", "description", "initial_mesh", "constraint",
-    "solver", "analysis", "seed",
+    "solver", "analysis", "expect", "seed",
 }
 _ANALYSIS_KEYS = {"stability", "monotonicity", "fermi", "doubling"}
 # keys each analysis block must carry: its stage reads them without a default
@@ -204,6 +210,47 @@ def _check_builds(what, build, spec):
         raise ScenarioError(f"{what} is missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid {what}: {exc}") from None
+
+
+def _stages_run(config):
+    """The stages run_scenario runs for a config; a polyline takes only the
+    monotonicity stage, and builtin and OBJ meshes are triangle meshes."""
+    analysis = config.get("analysis", {})
+    runs = {
+        "solve": config.get("solver") is not None,
+        "verify": True,
+        "stability": bool(analysis.get("stability")),
+        "monotonicity": "monotonicity" in analysis,
+        "fermi": "fermi" in analysis,
+        "doubling": "doubling" in analysis,
+    }
+    is_mesh = "polyline" not in config["initial_mesh"]
+    return {s for s, on in runs.items() if on and (is_mesh or s == "monotonicity")}
+
+
+def _validate_expect(expect, stages):
+    if not isinstance(expect, dict):
+        raise ScenarioError("expect must be an object")
+    unknown = set(expect) - {"stage_pass", "solve"}
+    if unknown:
+        raise ScenarioError(f"unknown expect keys: {sorted(unknown)}")
+    stage_pass = expect.get("stage_pass")
+    if not isinstance(stage_pass, dict):
+        raise ScenarioError("expect.stage_pass must be an object")
+    if set(stage_pass) != stages:
+        raise ScenarioError(
+            f"expect.stage_pass must name the stages this config runs, "
+            f"{sorted(stages)}; got {sorted(stage_pass)}")
+    if not all(isinstance(v, bool) for v in stage_pass.values()):
+        raise ScenarioError("expect.stage_pass values must be true or false")
+    if "solve" not in expect:
+        return
+    if "solve" not in stages:
+        raise ScenarioError("expect.solve needs a solve stage")
+    solve = expect["solve"]
+    if (not isinstance(solve, dict) or set(solve) != {"termination"}
+            or not isinstance(solve["termination"], str)):
+        raise ScenarioError('expect.solve must be {"termination": <string>}')
 
 
 def validate_config(config: dict) -> dict:
@@ -251,6 +298,8 @@ def validate_config(config: dict) -> dict:
     _check_builds("constraint", constraint_from_spec, config["constraint"])
     if config.get("solver") is not None:
         _check_builds("solver", lambda spec: SolveParams(**spec), config["solver"])
+    if "expect" in config:
+        _validate_expect(config["expect"], _stages_run(config))
     out = copy.deepcopy(config)
     out.setdefault("seed", 0)
     out.setdefault("solver", None)
@@ -286,9 +335,29 @@ class RunManifest:
     stage_pass: dict = field(default_factory=dict)
     stage_seconds: dict = field(default_factory=dict)
     failure: dict | None = None
+    expect: dict | None = None  # the config's declared outcome
+    solve_termination: str | None = None  # the solve report's termination
 
     def all_passed(self):
         return self.failure is None and all(self.stage_pass.values())
+
+    def mismatches(self):
+        """How the run differs from its declared outcome, as readable lines;
+        empty when it matches. Without `expect` every stage must pass."""
+        problems = []
+        if self.failure is not None:
+            problems.append(f"failure at stage {self.failure['stage']}: "
+                            f"{self.failure['error']}")
+        expect = self.expect or {}
+        want = expect.get("stage_pass", {k: True for k in self.stage_pass})
+        if self.stage_pass != want:
+            problems.append(f"stage_pass {dict(sorted(self.stage_pass.items()))} "
+                            f"!= expected {dict(sorted(want.items()))}")
+        want_termination = expect.get("solve", {}).get("termination")
+        if want_termination not in (None, self.solve_termination):
+            problems.append(f"solve termination {self.solve_termination!r} "
+                            f"!= expected {want_termination!r}")
+        return problems
 
     def to_json_dict(self, with_timings=True):
         d = {
@@ -331,15 +400,16 @@ def run_scenario(config: dict, out_dir, seed=None) -> RunManifest:
         scenario_hash=_config_hash(config),
         seed=config["seed"],
         out_dir=str(out),
+        expect=config.get("expect"),
     )
     stage = "setup"
     try:
         geometry = _build_geometry(config["initial_mesh"])
         constraint = constraint_from_spec(config["constraint"])
         analysis = config["analysis"]
-        is_mesh = isinstance(geometry, TriangleMesh)
+        stages = _stages_run(config)
 
-        if config["solver"] is not None and is_mesh:
+        if "solve" in stages:
             stage = "solve"
             t0 = time.perf_counter()
             params = SolveParams(**config["solver"])
@@ -350,12 +420,13 @@ def run_scenario(config: dict, out_dir, seed=None) -> RunManifest:
                 out / "solve.json", _json_dump(report.summary_dict())
             )
             manifest.stage_pass[stage] = bool(report.converged)
+            manifest.solve_termination = report.termination
             write_obj(geometry, out / "final_mesh.obj")
             manifest.outputs["final_mesh.obj"] = hashlib.sha256(
                 (out / "final_mesh.obj").read_bytes()
             ).hexdigest()
 
-        if is_mesh:
+        if "verify" in stages:
             stage = "verify"
             t0 = time.perf_counter()
             check = verify_minimal(geometry, constraint)
@@ -365,7 +436,7 @@ def run_scenario(config: dict, out_dir, seed=None) -> RunManifest:
             )
             manifest.stage_pass[stage] = bool(check["passes"])
 
-        if analysis.get("stability") and is_mesh:
+        if "stability" in stages:
             stage = "stability"
             t0 = time.perf_counter()
             with warnings.catch_warnings(record=True) as caught:
@@ -381,7 +452,7 @@ def run_scenario(config: dict, out_dir, seed=None) -> RunManifest:
             # is small; stability itself is a finding, not a failure
             manifest.stage_pass[stage] = bool(report.residual <= 1e-8)
 
-        if "monotonicity" in analysis:
+        if "monotonicity" in stages:
             stage = "monotonicity"
             t0 = time.perf_counter()
             spec = analysis["monotonicity"]
@@ -402,7 +473,7 @@ def run_scenario(config: dict, out_dir, seed=None) -> RunManifest:
             )
             manifest.stage_pass[stage] = bool(mono.passed)
 
-        if "fermi" in analysis and is_mesh:
+        if "fermi" in stages:
             stage = "fermi"
             t0 = time.perf_counter()
             spec = analysis["fermi"]
@@ -429,7 +500,7 @@ def run_scenario(config: dict, out_dir, seed=None) -> RunManifest:
             )
             manifest.stage_pass[stage] = bool(res <= 0.05)
 
-        if "doubling" in analysis and is_mesh:
+        if "doubling" in stages:
             stage = "doubling"
             t0 = time.perf_counter()
             spec = analysis["doubling"]

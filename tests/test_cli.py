@@ -151,6 +151,10 @@ def test_cli_list_is_deterministic(capsys):
     assert cli_main(["list"]) == 0
     assert capsys.readouterr().out == first
     assert "strip-on-plane" in first
+    declared = json.dumps(builtin_scenarios()["graph-over-disk"]["expect"],
+                          sort_keys=True)
+    [line] = [ln for ln in first.splitlines() if ln.startswith("graph-over-disk")]
+    assert line.endswith(f"expect: {declared}")
 
 
 def test_cli_run_unknown_scenario(tmp_path, capsys):
@@ -194,6 +198,8 @@ def _without(spec, key):
 
 _DISK = builtin_scenarios()["disk-in-ball"]
 _STRIP = builtin_scenarios()["strip-on-plane"]
+_STRIP_RUNS = {"solve": True, "verify": True, "stability": True, "doubling": True}
+_SEGMENT = builtin_scenarios()["radial-segment-k1"]
 BAD_CONFIGS = {
     "solver-key": dict(_STRIP, solver={"max_iterations": 10, "max_iters": 5}),
     "constraint-type": dict(_STRIP, constraint={"type": "cone", "apex": [0, 0, 0]}),
@@ -204,6 +210,30 @@ BAD_CONFIGS = {
         "fermi": _without(_DISK["analysis"]["fermi"], "base_point")}),
     "doubling-plane": dict(_STRIP, analysis={
         "doubling": _without(_STRIP["analysis"]["doubling"], "plane_normal")}),
+    "expect-object": dict(_STRIP, expect=[True]),
+    "expect-key": dict(_STRIP, expect={"stage_pass": _STRIP_RUNS, "stages": {}}),
+    "expect-stage-pass": dict(_STRIP, expect={
+        "solve": {"termination": "stationary"}}),
+    "expect-unknown-stage": dict(_STRIP, expect={
+        "stage_pass": dict(_STRIP_RUNS, solving=True)}),
+    "expect-unrun-stage": dict(_STRIP, expect={
+        "stage_pass": dict(_STRIP_RUNS, fermi=True)}),
+    "expect-missing-stage": dict(_STRIP, expect={
+        "stage_pass": _without(_STRIP_RUNS, "doubling")}),
+    "expect-bool": dict(_STRIP, expect={"stage_pass": dict(_STRIP_RUNS, solve=1)}),
+    "expect-solve-key": dict(_STRIP, expect={
+        "stage_pass": _STRIP_RUNS, "solve": {"converged": True}}),
+    "expect-solve-type": dict(_STRIP, expect={
+        "stage_pass": _STRIP_RUNS, "solve": {"termination": False}}),
+    "expect-solve-no-solver": dict(_STRIP, solver=None, expect={
+        "stage_pass": _without(_STRIP_RUNS, "solve"),
+        "solve": {"termination": "stationary"}}),
+    # a polyline runs only the monotonicity stage, with or without a solver
+    "expect-polyline-solve": dict(_SEGMENT, solver={"max_iterations": 10}, expect={
+        "stage_pass": {"monotonicity": True, "solve": True}}),
+    "expect-polyline-termination": dict(_SEGMENT, solver={"max_iterations": 10},
+                                        expect={"stage_pass": {"monotonicity": True},
+                                                "solve": {"termination": "stationary"}}),
 }
 
 
@@ -226,3 +256,39 @@ def test_cli_seed_env_override(tmp_path, monkeypatch, capsys):
         (tmp_path / "strip-on-plane" / "manifest.json").read_text()
     )
     assert manifest["seed"] == 123
+
+
+def test_cli_run_whole_catalog_matches_declared_outcomes(tmp_path, capsys):
+    catalog = builtin_scenarios()
+    assert cli_main(["run", *catalog, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == len(catalog)
+    # graph-over-disk escapes along the disk's unstable mode, as it declares
+    assert [ln for ln in out if not ln.split(": ")[1].startswith("pass")] == [
+        "graph-over-disk: as expected "
+        "(stages: solve=False, stability=True, verify=False)"]
+
+
+WRONG_EXPECT = {
+    "stage": {"stage_pass": dict(_STRIP_RUNS, solve=False)},
+    "termination": {"stage_pass": _STRIP_RUNS,
+                    "solve": {"termination": "max_iterations"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_EXPECT))
+def test_cli_run_exits_1_on_undeclared_outcome(tmp_path, capsys, case):
+    path = tmp_path / "strip.json"
+    path.write_text(json.dumps(dict(_STRIP, expect=WRONG_EXPECT[case])))
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("strip-on-plane: FAIL")
+    assert "!= expected" in out
+
+
+def test_cli_run_declared_pass_matches(tmp_path, capsys):
+    expect = {"stage_pass": _STRIP_RUNS, "solve": {"termination": "stationary"}}
+    path = tmp_path / "strip.json"
+    path.write_text(json.dumps(dict(_STRIP, expect=expect)))
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("strip-on-plane: pass")

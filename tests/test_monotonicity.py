@@ -2,13 +2,17 @@
 
 import json
 
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from fbms._kernels import mass_in_ball_tris
+from fbms._kernels import RULE_POINTS, RULE_WEIGHTS, mass_in_ball_tris
 from fbms.constraints import Plane, Sphere
+from fbms.mesh import TriangleMesh
 from fbms.monotonicity import (
     Polyline,
     check_interior_ball_clearance,
@@ -238,3 +242,107 @@ def test_crossing_count_matches_brute_force():
             _, crossing = mass_in_ball_tris(a, b, c, p, r)
             assert crossing == int(np.count_nonzero((near < r) & (far > r)))
             assert crossing > 0
+
+
+def _longest_edge(a, b, c):
+    return np.max([np.linalg.norm(y - x, axis=1)
+                   for x, y in ((a, b), (b, c), (c, a))], axis=0)
+
+
+def test_crossing_count_with_vertices_on_the_sphere():
+    # dyadic radii about a grid vertex: some vertices lie exactly on the
+    # sphere, and a triangle that only touches it from inside is not cut
+    a, b, c = _soup(halfplane_patch(96))
+    p = np.zeros(3)
+    dist = np.stack([np.linalg.norm(x - p, axis=1) for x in (a, b, c)])
+    far = dist.max(axis=0)
+    # every point of a triangle lies within its longest edge of each vertex,
+    # so the others are farther than every radius below
+    near = np.full(len(a), np.inf)
+    for i in np.flatnonzero(dist.min(axis=0) - _longest_edge(a, b, c) < 0.25):
+        near[i] = _distance_to_triangle(p, a[i], b[i], c[i])
+    for r, want in ((1 / 16, 17), (1 / 8, 37), (1 / 4, 77)):
+        assert np.count_nonzero(far == r) > 0
+        brute = int(np.count_nonzero((near < r) & (far > r)))
+        assert brute == want
+        mass, crossing = mass_in_ball_tris(a, b, c, p, r)
+        assert crossing == brute
+        assert abs(mass - 0.5 * np.pi * r * r) <= 1e-12 * r * r
+
+
+def test_mass_of_triangles_wholly_inside_or_outside():
+    a, b, c = _soup(critical_catenoid(24, 24))
+    p = np.array([0.55, 0.12, 0.03])
+    r = 0.3
+    dist = np.stack([np.linalg.norm(x - p, axis=1) for x in (a, b, c)])
+    inside = dist.max(axis=0) <= r
+    outside = dist.min(axis=0) >= 2.0 * r
+    assert inside.sum() > 10 and outside.sum() > 10
+    area = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    mass, crossing = mass_in_ball_tris(a[inside], b[inside], c[inside], p, r)
+    assert abs(mass - area[inside].sum()) <= 1e-13 * area[inside].sum()
+    assert crossing == 0
+    assert mass_in_ball_tris(a[outside], b[outside], c[outside], p, r) == (0.0, 0)
+
+
+def test_rule_weights_and_degree():
+    # Dunavant's degree-5 rule is exact for every monomial x^i y^j, i + j <= 5,
+    # on the reference triangle (0, 0), (1, 0), (0, 1): i! j! / (i + j + 2)!
+    assert abs(RULE_WEIGHTS.sum() - 1.0) <= 1e-14
+    assert np.allclose(RULE_POINTS.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    x, y = RULE_POINTS[:, 1], RULE_POINTS[:, 2]
+    for i in range(6):
+        for j in range(6 - i):
+            got = 0.5 * RULE_WEIGHTS @ (x**i * y**j)
+            want = factorial(i) * factorial(j) / factorial(i + j + 2)
+            assert abs(got - want) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [16, 32, 48, 64])
+@pytest.mark.parametrize("lambda1, gamma", [(0.0, 0.0), (12.0, 2.0)])
+def test_deficit_closed_form_on_flat_disk(n, lambda1, gamma):
+    # p at height h over the plane z = 0: |n . grad r| = h / r and the area
+    # element is 2 pi r dr, so the deficit is
+    # 2 pi h^2 int_sigma^rho exp(lambda1 t) / ((1 + gamma t) t^3) dt,
+    # which is pi h^2 (1/sigma^2 - 1/rho^2) when lambda1 = gamma = 0
+    h, sigma, rho = 0.1, 0.15, 0.6
+    integral, _ = quad(lambda t: np.exp(lambda1 * t) / ((1.0 + gamma * t) * t**3),
+                       sigma, rho, epsabs=0.0, epsrel=1e-13)
+    want = 2.0 * np.pi * h * h * integral
+    if lambda1 == 0.0:
+        assert abs(want - np.pi * h * h * (sigma**-2 - rho**-2)) <= 1e-12 * want
+    got = deficit_integral(disk(1.0, n, 3 * n), np.array([0.0, 0.0, h]),
+                           sigma, rho, lambda1, gamma)
+    # the error is the midpoint leaves' in the band each sphere cuts
+    assert abs(got - want) <= 1e-2 * want
+
+
+@pytest.mark.parametrize("lambda1, gamma", [(0.0, 0.0), (12.0, 2.0)])
+def test_deficit_rule_on_a_coarse_mesh(lambda1, gamma):
+    # a coarse flat 12-gon at height 0.2 next to p, whose triangles are about
+    # as long as their distance to p: neither sphere meets it, so the whole
+    # deficit comes from the rule; the reference is the rule on 4^5 pieces
+    # of each triangle
+    flat = disk(1.0, 4, 12)
+    mesh = TriangleMesh(flat.vertices + np.array([1.2, 0.0, 0.2]), flat.faces)
+    a, b, c = _soup(mesh)
+    p, sigma, rho = np.zeros(3), 0.1, 5.0
+    n = np.array([0.0, 0.0, 1.0])
+    pieces = [(a, b, c)]
+    for _ in range(5):
+        pieces = [t for x, y, z in pieces
+                  for t in ((x, (x + y) / 2, (x + z) / 2),
+                            ((x + y) / 2, y, (y + z) / 2),
+                            ((x + z) / 2, (y + z) / 2, z),
+                            ((y + z) / 2, (x + z) / 2, (x + y) / 2))]
+    want = 0.0
+    for x, y, z in pieces:
+        pts = np.tensordot(RULE_POINTS, np.stack([x, y, z]), 1) - p
+        r = np.linalg.norm(pts, axis=-1)
+        f = np.exp(lambda1 * r) * (pts @ n / r) ** 2 / ((1.0 + gamma * r) * r**2)
+        area = 0.5 * np.linalg.norm(np.cross(y - x, z - x), axis=1)
+        want += float((RULE_WEIGHTS @ f * area).sum())
+    got = deficit_integral(mesh, p, sigma, rho, lambda1, gamma)
+    # one rule per coarse triangle is off by 8.7e-6 at lambda1 = 0 and by
+    # 2.1e-4 at lambda1 = 12
+    assert abs(got - want) <= 2e-6 * want
