@@ -1,54 +1,40 @@
 """Triangle/ball kernels behind the monotonicity formula.
 
-Both kernels do exact work only on triangles a sphere can cut; every other
-triangle has a closed-form answer, decided from its vertex distances d_i to p
-and its longest edge L. Every point of a triangle lies within L of each
-vertex, so min d_i - L bounds its distance to p from below, and balls are
-convex, so max d_i bounds it from above.
+Both kernels work in each triangle's plane about the foot q of the base point
+p, at signed distance h, where the sphere of radius R about p cuts the circle
+of radius sqrt(R^2 - h^2). Each edge is split at its roots on those circles
+(`_edge_roots`), and a triangle's integral is the signed sum over its edge
+pieces. The ball mass is exact: a piece inside the circle adds the triangle
+it spans with q, and one outside it a sector.
 
-The ball mass is exact. A triangle with every vertex in the ball adds its
-area, one with min d_i - L >= r adds nothing, and the rest are clipped: the
-ball cuts each triangle's plane in a disk, and the triangle-disk area is the
-signed circle-polygon clip summed over the three edges.
+The deficit integrand is h^2 G(r) on a flat triangle, with
+G(r) = exp(lambda1 r) / ((1 + gamma r) r^4), and r dr = s ds for the radius s
+about q. So a piece adds the integral of Phi(clamp(r, lo, rho)) d theta, with
+lo = max(|h|, sigma) and Phi(R) = h^2 integral_lo^R G(r) r dr: exactly
+Phi(rho) d theta outside rho, nothing inside lo, and EDGE_POINTS-point
+Gauss-Legendre in the edge parameter between, on parts short next to their
+distance from the integrand's singularities.
 
-The deficit runs a level-synchronous subdivision. At each level, triangles
-inside the inner ball or provably beyond the outer sphere are dropped;
-triangles wholly inside the open annulus (min d_i - L > sigma and
-max d_i < rho), where the integrand is smooth, are integrated with the
-7-point degree-5 Dunavant rule and leave the loop once they are small on the
-integrand's scale (L (1 + |lambda1| (min d_i - L)) <= min d_i - L); larger
-ones are split first. The rest, which a sphere may cut, are split until their
-longest edge is below QUAD_EDGE_REL * sigma and then count as midpoint
-leaves when their centroid lies in the annulus.
+Both kernels skip triangles from their vertex distances d_i to p and longest
+edge L: min d_i - L bounds every point's distance to p from below, and
+max d_i bounds it from above.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import Chebyshev
+from numpy.polynomial.legendre import leggauss
 
-QUAD_EDGE_REL = 0.02  # deficit leaf edge, relative to the inner radius
-MAX_LEVELS = 40  # deficit subdivision depth; deeper leftovers become leaves
 CROSSING_SLACK = 1e-12  # relative to the triangle's area
-
-# Dunavant (1985) degree-5 rule: barycentric points and weights summing to 1.
-# The centroid, then the orbits of (a, b, b) with a = 0.0597..., 0.7974...
-_S15 = np.sqrt(15.0)
-_A1, _B1 = (9.0 - 2.0 * _S15) / 21.0, (6.0 + _S15) / 21.0
-_A2, _B2 = (9.0 + 2.0 * _S15) / 21.0, (6.0 - _S15) / 21.0
-RULE_POINTS = np.array([
-    [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-    [_A1, _B1, _B1], [_B1, _A1, _B1], [_B1, _B1, _A1],
-    [_A2, _B2, _B2], [_B2, _A2, _B2], [_B2, _B2, _A2],
-])
-RULE_WEIGHTS = np.array([0.225] + [(155.0 + _S15) / 1200.0] * 3
-                        + [(155.0 - _S15) / 1200.0] * 3)
+EDGE_POINTS = 8  # Gauss-Legendre points per part of an edge piece
+PART_REL = 0.5  # longest part, relative to its distance to a singularity
+MAX_PARTS = 64  # parts per edge piece
+_GL_X, _GL_W = leggauss(EDGE_POINTS)
 
 
-def _tri_arrays(a, b, c):
-    a = np.asarray(a, dtype=float).reshape(-1, 3)
-    b = np.asarray(b, dtype=float).reshape(-1, 3)
-    c = np.asarray(c, dtype=float).reshape(-1, 3)
-    return a, b, c
+def _tri_arrays(*xs):
+    return [np.asarray(x, dtype=float).reshape(-1, 3) for x in xs]
 
 
 def _areas(a, b, c):
@@ -56,35 +42,35 @@ def _areas(a, b, c):
 
 
 def _longest_edge(a, b, c):
-    return np.maximum.reduce(
-        [
-            np.linalg.norm(b - a, axis=1),
-            np.linalg.norm(c - b, axis=1),
-            np.linalg.norm(a - c, axis=1),
-        ]
-    )
-
-
-def _split4(a, b, c, n):
-    ab = 0.5 * (a + b)
-    bc = 0.5 * (b + c)
-    ca = 0.5 * (c + a)
-    na = np.concatenate([a, ab, ca, ab])
-    nb = np.concatenate([ab, b, bc, bc])
-    nc = np.concatenate([ca, bc, c, ca])
-    return na, nb, nc, np.concatenate([n] * 4)
+    return np.maximum.reduce([np.linalg.norm(y - x, axis=1)
+                              for x, y in ((a, b), (b, c), (c, a))])
 
 
 def _vertex_distances(a, b, c, p):
     return np.stack([np.linalg.norm(x - p, axis=1) for x in (a, b, c)])
 
 
-def _integrand(x, n, p, lambda1, gamma):
-    """exp(lambda1 r) |n . grad r|^2 / ((1 + gamma r) r^2) at points x."""
-    d = x - p
-    r = np.linalg.norm(d, axis=-1)
-    perp2 = (np.vecdot(n, d) / r) ** 2
-    return np.exp(lambda1 * r) * perp2 / ((1.0 + gamma * r) * r**2)
+def _edges_about(q, a, b, c):
+    """Edges u -> v of each triangle about q, and d = v - u: (3, faces, 3)."""
+    u = np.stack([a, b, c]) - q
+    v = u[[1, 2, 0]]
+    return u, v, v - u
+
+
+def _edge_roots(u, d, s2):
+    """Parameters t1 <= t2 in [0, 1] where the edge u + t d crosses the circle
+    |x|^2 = s2; a missed circle gives t1 = t2, and a point edge t1 = t2 = 0."""
+    dd = np.vecdot(d, d)
+    ud = np.vecdot(u, d)
+    s = np.sqrt(np.maximum(ud * ud - dd * (np.vecdot(u, u) - s2), 0.0))
+    t1 = np.divide(-ud - s, dd, out=np.zeros_like(dd), where=dd > 0.0)
+    t2 = np.divide(-ud + s, dd, out=np.zeros_like(dd), where=dd > 0.0)
+    return np.clip(t1, 0.0, 1.0), np.clip(t2, 0.0, 1.0)
+
+
+def _angle(x, y, n):
+    """Signed angle from x to y about the unit normal n."""
+    return np.arctan2(np.vecdot(np.cross(x, y), n), np.vecdot(x, y))
 
 
 def mass_in_ball_tris(a, b, c, p, r):
@@ -92,12 +78,8 @@ def mass_in_ball_tris(a, b, c, p, r):
 
     A triangle with every vertex within r adds its area and one with
     min vertex distance - longest edge >= r adds nothing; only the rest are
-    clipped. Each clipped triangle's plane meets the ball in a disk of radius
-    sqrt(r^2 - h^2) about q, the foot of p. Each edge u -> v, split at the
-    roots t1 <= t2 of |u + t (v - u) - q| = that radius clipped to [0, 1],
-    adds a sector, a triangle with apex q and a sector. A clipped triangle is
-    cut when its clipped area lies strictly between 0 and its area, up to
-    CROSSING_SLACK relative.
+    clipped. A clipped triangle is cut when its clipped area lies strictly
+    between 0 and its area, up to CROSSING_SLACK relative.
     """
     a, b, c = _tri_arrays(a, b, c)
     p = np.asarray(p, dtype=float)
@@ -114,25 +96,13 @@ def mass_in_ball_tris(a, b, c, p, r):
     rho2 = r * r - h * h
     cut = rho2 > 0.0
     live, n, h, rho2 = live[cut], n[cut], h[cut], rho2[cut]
-    q = p - h[:, None] * n
-    u = np.stack([a[live], b[live], c[live]]) - q  # (3, faces, 3), about q
-    v = u[[1, 2, 0]]
-    d = v - u
-    dd = np.vecdot(d, d)
-    ud = np.vecdot(u, d)
-    s = np.sqrt(np.maximum(ud * ud - dd * (np.vecdot(u, u) - rho2), 0.0))
-    t1 = np.clip((-ud - s) / dd, 0.0, 1.0)
-    t2 = np.clip((-ud + s) / dd, 0.0, 1.0)
+    u, v, d = _edges_about(p - h[:, None] * n, a[live], b[live], c[live])
+    t1, t2 = _edge_roots(u, d, rho2)
     # The far split point is measured back from v, so a clipped root gives u
     # or v exactly and a zero-angle sector; u + t2 d would leave a ~1e-20
     # vector of arbitrary angle when the base point is a mesh vertex.
-    x1 = u + t1[..., None] * d
-    x2 = v - (1.0 - t2)[..., None] * d
-
-    def sector(x, y):
-        return np.arctan2(np.vecdot(np.cross(x, y), n), np.vecdot(x, y))
-
-    signed = (0.5 * (rho2 * (sector(u, x1) + sector(x2, v))
+    x1, x2 = u + t1[..., None] * d, v - (1.0 - t2)[..., None] * d
+    signed = (0.5 * (rho2 * (_angle(u, x1, n) + _angle(x2, v, n))
                      + np.vecdot(np.cross(x1, x2), n))).sum(axis=0)
     full = 0.5 * twice[live]
     clipped = np.clip(signed, 0.0, full)
@@ -141,54 +111,80 @@ def mass_in_ball_tris(a, b, c, p, r):
     return total + float(clipped.sum()), crossing
 
 
+def _radial_antiderivative(sigma, rho, lambda1, gamma):
+    """psi with psi' = exp(lambda1 r) / ((1 + gamma r) r^3) on [sigma, rho]:
+    -1 / (2 r^2) when lambda1 = gamma = 0, else a Chebyshev series in log r,
+    where the integrand times r is entire but for poles at imaginary distance
+    pi, so the degree grows only with log(rho / sigma)."""
+    if lambda1 == 0.0 and gamma == 0.0:
+        return lambda r: -0.5 / (r * r)
+    u0, u1 = np.log(sigma), np.log(rho)
+    series = Chebyshev.interpolate(
+        lambda u: np.exp(lambda1 * np.exp(u) - 2.0 * u) / (1.0 + gamma * np.exp(u)),
+        24 + int(np.ceil(16.0 * (u1 - u0))), domain=[u0, u1]).integ()
+    return lambda r: series(np.log(r))
+
+
 def deficit_sum_tris(a, b, c, normals, p, sigma, rho, lambda1, gamma):
-    """Quadrature of the weighted normal-deficit integrand over the part of
-    the triangle soup inside the annulus sigma < |x-p| < rho.
+    """Integral of the weighted normal-deficit integrand over the part of the
+    triangle soup inside the annulus sigma < |x - p| < rho.
 
     `normals` are unit normals of the triangle planes (the 2-plane S); the
-    integrand is exp(lambda1 r) |n . grad r|^2 / ((1 + gamma r) r^2).
-    Triangles wholly inside the open annulus and small next to their distance
-    to p (longest edge * (1 + |lambda1| near) <= near, near being the lower
-    bound min d_i - L) take the Dunavant rule (RULE_POINTS, RULE_WEIGHTS);
-    larger ones are split first. Triangles a sphere may cut are split down to
-    an edge of QUAD_EDGE_REL * sigma, and each such leaf adds its area times
-    the integrand at its centroid when the centroid lies in the annulus.
+    integrand is exp(lambda1 r) |n . grad r|^2 / ((1 + gamma r) r^2). Each
+    triangle is clipped in polar coordinates about the foot of p (see the
+    module docstring). One whose plane contains p, or that misses the ball
+    B(p, rho), adds exactly 0, and none adds less than 0.
     """
-    a, b, c = _tri_arrays(a, b, c)
-    n = np.asarray(normals, dtype=float).reshape(-1, 3)
+    a, b, c, n = _tri_arrays(a, b, c, normals)
     p = np.asarray(p, dtype=float)
-    total = 0.0
-    quad_edge = QUAD_EDGE_REL * sigma
-    level = 0
-    while len(a):
-        dist = _vertex_distances(a, b, c, p)
-        longest = _longest_edge(a, b, c)
-        near = dist.min(axis=0) - longest  # below every point's distance
-        far = dist.max(axis=0)  # above every point's distance
-        inside_inner = far < sigma
-        beyond_outer = near >= rho
-        # the integrand's log changes at a rate up to about |lambda1| + 4/r,
-        # so the rule waits until the triangle is small on that scale
-        annulus = ((near > sigma) & (far < rho)
-                   & ((1.0 + abs(lambda1) * near) * longest <= near))
-        if annulus.any():
-            x = np.tensordot(RULE_POINTS,
-                             np.stack([a[annulus], b[annulus], c[annulus]]), 1)
-            f = _integrand(x, n[annulus], p, lambda1, gamma)
-            total += float((RULE_WEIGHTS @ f
-                            * _areas(a[annulus], b[annulus], c[annulus])).sum())
-        rest = ~(inside_inner | beyond_outer | annulus)
-        leaf = rest & ((longest <= quad_edge) | (level >= MAX_LEVELS))
-        if leaf.any():
-            cen = (a[leaf] + b[leaf] + c[leaf]) / 3.0
-            r = np.linalg.norm(cen - p, axis=1)
-            ok = (r > sigma) & (r < rho)
-            if ok.any():
-                w = _integrand(cen[ok], n[leaf][ok], p, lambda1, gamma)
-                total += float((w * _areas(a[leaf][ok], b[leaf][ok], c[leaf][ok])).sum())
-        split = rest & ~leaf
-        if not split.any():
-            break
-        a, b, c, n = _split4(a[split], b[split], c[split], n[split])
-        level += 1
-    return total
+    dist = _vertex_distances(a, b, c, p)
+    keep = (dist.max(axis=0) > sigma) & (dist.min(axis=0) - _longest_edge(a, b, c) < rho)
+    a, b, c, n = a[keep], b[keep], c[keep], n[keep]
+    # orient each normal with the triangle's winding, which signs the angles
+    orient = np.sign(np.vecdot(np.cross(b - a, c - a), n))
+    h = orient * np.vecdot(p - a, n)
+    lo = np.maximum(np.abs(h), sigma)
+    live = (h != 0.0) & (lo < rho)  # orient = 0 on a degenerate triangle
+    if not live.any():
+        return 0.0
+    a, b, c, h, lo = a[live], b[live], c[live], h[live], lo[live]
+    n, h2 = orient[live, None] * n[live], h * h
+    psi = _radial_antiderivative(sigma, rho, lambda1, gamma)
+    psi_lo = psi(lo)
+
+    u, v, d = _edges_about(p - h[:, None] * n, a, b, c)
+    hi1, hi2 = _edge_roots(u, d, rho * rho - h2)
+    lo1, lo2 = _edge_roots(u, d, lo * lo - h2)
+    x1, x2 = u + hi1[..., None] * d, v - (1.0 - hi2)[..., None] * d
+    total = h2 * (psi(rho) - psi_lo) * (_angle(u, x1, n) + _angle(x2, v, n)).sum(axis=0)
+
+    # annulus pieces [hi1, lo1] and [lo2, hi2], one piece when an edge misses
+    # the inner circle; d theta = (u x d) . n / |x|^2 dt along x = u + t d
+    miss = lo1 == lo2
+    t0 = np.stack([hi1, np.where(miss, hi2, lo2)])
+    t1 = np.stack([np.where(miss, hi2, lo1), hi2])
+    k, e, i = np.nonzero(t1 > t0)
+    t0, t1, ue, de = t0[k, e, i], t1[k, e, i], u[e, i], d[e, i]
+    # parts no longer than PART_REL times their distance from the nearest
+    # complex singularity: x = 0 (the pole of 1 / |x|^2) when lo > |h|, else
+    # r = 0, where |x|^2 = -h^2
+    dd = np.vecdot(de, de)
+    x = ue + np.clip(-np.vecdot(ue, de) / dd, t0, t1)[:, None] * de
+    gap = np.sqrt(np.vecdot(x, x) + np.where(lo[i] > np.abs(h[i]), 0.0, h2[i]))
+    length = (t1 - t0) * np.sqrt(dd)
+    parts = np.ceil(length / np.maximum(PART_REL * gap, length / MAX_PARTS)).astype(int)
+    j = np.repeat(np.arange(len(parts)), parts)
+    rank = np.arange(len(j)) - np.repeat(np.cumsum(parts) - parts, parts)
+    half = 0.5 * ((t1 - t0) / parts)[j]
+    t = (t0[j] + (2 * rank + 1) * half)[:, None] + half[:, None] * _GL_X
+    e, i = e[j], i[j]
+    x = ue[j, None, :] + t[..., None] * de[j, None, :]
+    s2 = np.vecdot(x, x)
+    r = np.clip(np.sqrt(s2 + h2[i, None]), lo[i, None], rho)
+    f = np.divide(psi(r) - psi_lo[i, None], s2, out=np.zeros_like(s2), where=s2 > 0.0)
+    turn = np.vecdot(np.cross(u, d), n)
+    total += h2 * np.bincount(i, turn[e, i] * half * (f @ _GL_W), minlength=len(h))
+    # a triangle that misses the disk of radius rho in its plane has no
+    # annulus; only rounding is left of its angle sum
+    meets = (hi2 > hi1).any(axis=0) | (turn >= 0.0).all(axis=0)
+    return float(np.maximum(total[meets], 0.0).sum())

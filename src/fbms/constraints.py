@@ -152,21 +152,22 @@ class LevelSetConstraint:
         return z[0] if single else z
 
     def normal_second_form(self, p, v):
-        """A^N(v, v) for unit tangent v; convex inside => positive."""
-        p = np.asarray(p, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if abs(float(self.phi(p[None, :])[0])) > 1e-10 * (1 + np.linalg.norm(p)):
+        """A^N(v, v) for unit tangent v at p on N, or for each row of (n, 3)
+        arrays p and v; convex inside => positive."""
+        single = np.ndim(p) == 1
+        p, v = (np.asarray(x, dtype=float).reshape(-1, 3) for x in (p, v))
+        if np.any(np.abs(self.phi(p)) > 1e-10 * (1 + np.linalg.norm(p, axis=1))):
             raise ValueError("point is not on the constraint surface")
         g = self.grad(p)
-        gn = np.linalg.norm(g)
-        if gn < 1e-12:
+        gn = np.linalg.norm(g, axis=1)
+        if np.any(gn < 1e-12):
             raise ProjectionError("gradient vanishes")
-        tang = v - (v @ g / gn**2) * g
-        if np.linalg.norm(tang - v) > 1e-8:
+        tang = v - (np.vecdot(v, g) / gn**2)[:, None] * g
+        if np.any(np.linalg.norm(tang - v, axis=1) > 1e-8):
             raise ValueError("direction is not tangent to the constraint")
         sign = 1.0 if self.inside == "negative_phi" else -1.0
-        H = self.hess(p)
-        return float(sign * (v @ H @ v) / gn)
+        vals = sign * np.einsum("ni,nij,nj->n", v, self.hess(p), v) / gn
+        return float(vals[0]) if single else vals
 
     # -- sampling ------------------------------------------------------------
 

@@ -83,6 +83,31 @@ class DensityProfile:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+class _SortedFaces:
+    """A mesh's non-degenerate faces and unit normals, sorted by a lower bound
+    on their distance to p, so those a ball about p can reach are a prefix."""
+
+    def __init__(self, mesh: TriangleMesh, p):
+        v, f = mesh.vertices, mesh.faces
+        a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+        n = np.cross(b - a, c - a)
+        norms = np.linalg.norm(n, axis=1)
+        near = (_kernels._vertex_distances(a, b, c, p).min(axis=0)
+                - _kernels._longest_edge(a, b, c))
+        order = np.flatnonzero(norms > 1e-300)
+        order = order[np.argsort(near[order], kind="stable")]
+        self.near = near[order]
+        self.faces = (a[order], b[order], c[order], n[order] / norms[order, None])
+
+    @staticmethod
+    def within(geometry, p, r):
+        """(a, b, c, normals) of the faces that can reach the ball B(p, r)."""
+        if isinstance(geometry, TriangleMesh):
+            geometry = _SortedFaces(geometry, p)
+        k = np.searchsorted(geometry.near, r)
+        return [x[:k] for x in geometry.faces]
+
+
 def _segment_length_in_ball(a, b, p, r):
     """Exact length of segment [a, b] inside the open ball B(p, r)."""
     d = b - a
@@ -129,33 +154,23 @@ def mass_in_ball(geometry, p, r) -> BallMass:
             if 0.0 < ell < full - 1e-15 * full:
                 crossing += 1
         return BallMass(radius=float(r), mass=total, clipped_triangle_count=crossing)
-    mesh = geometry
-    v, f = mesh.vertices, mesh.faces
-    mass, crossing = _kernels.mass_in_ball_tris(v[f[:, 0]], v[f[:, 1]], v[f[:, 2]], p, float(r))
+    a, b, c, _ = _SortedFaces.within(geometry, p, r)
+    mass, crossing = _kernels.mass_in_ball_tris(a, b, c, p, float(r))
     return BallMass(radius=float(r), mass=float(mass), clipped_triangle_count=int(crossing))
 
 
 def deficit_integral(geometry, p, sigma, rho, Lambda1, gamma) -> float:
-    """Quadrature of exp(Lambda1 r) |component of grad r normal to the
-    surface|^2 / ((1 + gamma r) r^k) over the annulus sigma < |x - p| < rho."""
+    """Integral of exp(Lambda1 r) |component of grad r normal to the
+    surface|^2 / ((1 + gamma r) r^k) over the annulus sigma < |x - p| < rho:
+    exact on mesh faces, a midpoint rule on polyline segments."""
     if not 0 < sigma < rho:
         raise ValueError("need 0 < sigma < rho")
     p = np.asarray(p, dtype=float)
     if isinstance(geometry, Polyline):
         return _deficit_polyline(geometry, p, sigma, rho, Lambda1, gamma)
-    mesh = geometry
-    v, f = mesh.vertices, mesh.faces
-    a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-    n = np.cross(b - a, c - a)
-    norms = np.linalg.norm(n, axis=1)
-    keep = norms > 1e-300
-    n = n[keep] / norms[keep][:, None]
-    return float(
-        _kernels.deficit_sum_tris(
-            a[keep], b[keep], c[keep], n, p, float(sigma), float(rho),
-            float(Lambda1), float(gamma),
-        )
-    )
+    a, b, c, n = _SortedFaces.within(geometry, p, rho)
+    return float(_kernels.deficit_sum_tris(a, b, c, n, p, float(sigma), float(rho),
+                                           float(Lambda1), float(gamma)))
 
 
 def _deficit_polyline(poly, p, sigma, rho, Lambda1, gamma):
@@ -194,6 +209,8 @@ def _profile(geometry, p, radii, gamma, Lambda, with_deficits=True,
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
+    if isinstance(geometry, TriangleMesh):
+        geometry = _SortedFaces(geometry, p)
     masses = [mass_in_ball(geometry, p, r).mass for r in radii]
     theta = [np.exp(Lambda1 * r) * m / r**k for r, m in zip(radii, masses)]
     deficits = []
@@ -242,11 +259,6 @@ def interior_density(geometry, p, radii) -> DensityProfile:
     """Classical density ratio mass / r^k at an interior point (gamma = 0)."""
     p = np.asarray(p, dtype=float)
     return _profile(geometry, p, radii, gamma=0.0, Lambda=0.0, with_deficits=False)
-
-
-def check_interior_ball_clearance(constraint, p, r_max):
-    if abs(constraint.distance(np.asarray(p, dtype=float))) <= r_max:
-        raise ValueError("ball touches constraint")
 
 
 @dataclass

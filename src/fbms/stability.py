@@ -81,21 +81,16 @@ def _boundary_second_form_values(mesh: TriangleMesh, constraint):
     """Constraint second form in the surface-normal direction, per constrained
     boundary vertex, evaluated at the projected foot point."""
     idx = np.nonzero(mesh.constrained)[0]
-    if len(idx) == 0:
-        return idx, np.zeros(0)
     nu = vertex_normals(mesh).values[idx]
     feet = constraint.project(mesh.vertices[idx])
     nhat = constraint.unit_normal(feet)
     # the surface normal is tangent to N only up to the orthogonality
     # residual; project it before evaluating the second form
-    vals = np.empty(len(idx))
-    for k in range(len(idx)):
-        v = nu[k] - (nu[k] @ nhat[k]) * nhat[k]
-        vn = np.linalg.norm(v)
-        if vn < 1e-12:
-            vals[k] = 0.0
-            continue
-        vals[k] = constraint.normal_second_form(feet[k], v / vn)
+    v = nu - np.vecdot(nu, nhat)[:, None] * nhat
+    vn = np.linalg.norm(v, axis=1)
+    ok = vn >= 1e-12
+    vals = np.zeros(len(idx))
+    vals[ok] = constraint.normal_second_form(feet[ok], v[ok] / vn[ok, None])
     return idx, vals
 
 

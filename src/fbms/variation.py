@@ -57,7 +57,6 @@ class SolveReport:
     final_ortho_residual: float
     converged: bool
     termination: str
-    reprojection_increase_flagged: bool = False
 
     def summary_dict(self):
         return {
@@ -173,7 +172,6 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
     grad_history = []
     ortho_history = []
     step = params.step_init
-    reproj_flag = False
     termination = "max_iterations"
     converged = False
     it = 0
@@ -228,10 +226,6 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
             termination = "line search failed 30 halvings"
             break
         step = t
-
-        unprojected_area = total_area(mesh.with_vertices(mesh.vertices + t * d))
-        if cand_area > unprojected_area + t * t * max(1.0, abs(slope)):
-            reproj_flag = True
         mesh, area, min_edge = cand, cand_area, cand_min_edge
         area_history.append(area)
 
@@ -253,7 +247,6 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         final_ortho_residual=final_ortho,
         converged=converged,
         termination=termination,
-        reprojection_increase_flagged=reproj_flag,
     )
 
 

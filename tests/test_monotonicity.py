@@ -1,8 +1,7 @@
 """Weighted density ratios, ball masses, and the deficit integral."""
 
 import json
-
-from math import factorial
+import math
 
 import numpy as np
 import pytest
@@ -10,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fbms._kernels import RULE_POINTS, RULE_WEIGHTS, mass_in_ball_tris
+from fbms._kernels import deficit_sum_tris, mass_in_ball_tris
 from fbms.constraints import Plane, Sphere
-from fbms.mesh import TriangleMesh
 from fbms.monotonicity import (
     Polyline,
-    check_interior_ball_clearance,
     check_monotonicity,
     default_radius_grid,
     deficit_integral,
@@ -23,7 +20,13 @@ from fbms.monotonicity import (
     interior_density,
     mass_in_ball,
 )
-from fbms.samplers import critical_catenoid, disk, halfplane_patch
+from fbms.samplers import (
+    CRITICAL_CATENOID_T0,
+    catenoid_scale_for_unit_sphere,
+    critical_catenoid,
+    disk,
+    halfplane_patch,
+)
 
 
 def test_polyline_segment_mass_exact():
@@ -87,13 +90,6 @@ def test_interior_density_nondecreasing_at_catenoid_waist():
     # faceting error allowance on top of the analytic monotonicity
     assert all(b >= a * (1 - 5e-3) for a, b in zip(prof.theta, prof.theta[1:]))
     assert prof.theta[0] > np.pi * 0.98  # minimal surface density >= pi
-
-
-def test_interior_ball_clearance():
-    N = Sphere((0, 0, 0), 1.0)
-    check_interior_ball_clearance(N, np.array([0.2, 0.0, 0.0]), 0.5)
-    with pytest.raises(ValueError, match="touches"):
-        check_interior_ball_clearance(N, np.array([0.7, 0, 0]), 0.5)
 
 
 def test_density_profile_rejects_large_radius():
@@ -285,19 +281,6 @@ def test_mass_of_triangles_wholly_inside_or_outside():
     assert mass_in_ball_tris(a[outside], b[outside], c[outside], p, r) == (0.0, 0)
 
 
-def test_rule_weights_and_degree():
-    # Dunavant's degree-5 rule is exact for every monomial x^i y^j, i + j <= 5,
-    # on the reference triangle (0, 0), (1, 0), (0, 1): i! j! / (i + j + 2)!
-    assert abs(RULE_WEIGHTS.sum() - 1.0) <= 1e-14
-    assert np.allclose(RULE_POINTS.sum(axis=1), 1.0, rtol=0, atol=1e-15)
-    x, y = RULE_POINTS[:, 1], RULE_POINTS[:, 2]
-    for i in range(6):
-        for j in range(6 - i):
-            got = 0.5 * RULE_WEIGHTS @ (x**i * y**j)
-            want = factorial(i) * factorial(j) / factorial(i + j + 2)
-            assert abs(got - want) <= 1e-14
-
-
 @pytest.mark.parametrize("n", [16, 32, 48, 64])
 @pytest.mark.parametrize("lambda1, gamma", [(0.0, 0.0), (12.0, 2.0)])
 def test_deficit_closed_form_on_flat_disk(n, lambda1, gamma):
@@ -313,36 +296,109 @@ def test_deficit_closed_form_on_flat_disk(n, lambda1, gamma):
         assert abs(want - np.pi * h * h * (sigma**-2 - rho**-2)) <= 1e-12 * want
     got = deficit_integral(disk(1.0, n, 3 * n), np.array([0.0, 0.0, h]),
                            sigma, rho, lambda1, gamma)
-    # the error is the midpoint leaves' in the band each sphere cuts
-    assert abs(got - want) <= 1e-2 * want
+    # both spheres cut the mesh, and the polar clip is exact on flat faces
+    assert abs(got - want) <= 1e-12 * want
+
+
+def _rotation():
+    return np.linalg.qr(np.array([[0.3, -0.8, 0.5], [0.9, 0.2, -0.4],
+                                  [0.1, 0.6, 0.7]]))[0]
 
 
 @pytest.mark.parametrize("lambda1, gamma", [(0.0, 0.0), (12.0, 2.0)])
-def test_deficit_rule_on_a_coarse_mesh(lambda1, gamma):
-    # a coarse flat 12-gon at height 0.2 next to p, whose triangles are about
-    # as long as their distance to p: neither sphere meets it, so the whole
-    # deficit comes from the rule; the reference is the rule on 4^5 pieces
-    # of each triangle
+def test_deficit_of_a_triangle_cut_by_both_spheres(lambda1, gamma):
+    # one large triangle in z = 0 around the foot q of p = q + h e_z, cut by
+    # both spheres; the reference integrates h^2 G(r) s ds d theta in polar
+    # coordinates about q by nested quad, one edge's angular range at a time,
+    # s from the inner circle to the edge or the outer circle. The kernel
+    # sees the triangle rotated and moved, with either sign of its normal.
+    tri = np.array([[-0.3, -0.07, 0.0], [0.5, -0.07, 0.0], [0.05, 0.55, 0.0]])
+    q = np.array([0.02, 0.0, 0.0])
+    sigma, rho = 0.15, 0.4
+    rot, shift = _rotation(), np.array([0.2, -0.7, 0.4])
+    for h in (0.1, -0.2):  # inner sphere cuts the plane, or misses it
+        s_lo = math.sqrt(max(sigma * sigma - h * h, 0.0))
+        s_hi = math.sqrt(rho * rho - h * h)
+
+        def integrand(s):
+            r = math.sqrt(s * s + h * h)
+            return h * h * math.exp(lambda1 * r) * s / ((1.0 + gamma * r) * r**4)
+
+        def ray(theta, dist, phi):  # from the inner circle to the edge or rho
+            edge = min(max(dist / math.cos(theta - phi), s_lo), s_hi)
+            return quad(integrand, s_lo, edge, epsabs=0.0, epsrel=1e-13)[0]
+
+        want = 0.0
+        for i in range(3):
+            x, y = tri[i] - q, tri[(i + 1) % 3] - q
+            start, stop = math.atan2(x[1], x[0]), math.atan2(y[1], y[0])
+            stop += 2.0 * math.pi if stop < start else 0.0
+            e = y - x
+            m = np.array([e[1], -e[0], 0.0]) / np.linalg.norm(e)  # outward
+            dist, phi = x @ m, math.atan2(m[1], m[0])
+            want += quad(ray, start, stop, args=(dist, phi), epsabs=0.0,
+                         epsrel=1e-13, limit=200)[0]
+        p = rot @ (q + [0.0, 0.0, h]) + shift
+        a, b, c = tri @ rot.T + shift
+        for n in (rot[:, 2], -rot[:, 2]):
+            got = deficit_sum_tris(a, b, c, n, p, sigma, rho, lambda1, gamma)
+            assert abs(got - want) <= 1e-12 * want
+
+
+def test_deficit_of_a_face_through_p_is_zero():
+    # grad r is tangent to a plane through p, so its faces add exactly 0:
+    # a tilted face with p at a vertex, and a face of z = 0 with p beside it
+    rot = _rotation()
+    tri = np.array([[0.0, 0.0, 0.0], [0.3, 0.1, 0.0], [0.1, 0.25, 0.0]]) @ rot.T
+    n = rot[:, 2]
+    assert deficit_sum_tris(*tri, n, tri[0], 0.05, 0.2, 12.0, 2.0) == 0.0
+    flat = np.array([[0.1, 0.0, 0.0], [0.3, 0.1, 0.0], [0.1, 0.25, 0.0]])
+    p = np.array([0.0, 0.05, 0.0])
+    assert deficit_sum_tris(*flat, [0.0, 0.0, 1.0], p, 0.1, 0.3, 0.0, 0.0) == 0.0
+
+
+def test_deficit_of_faces_nearly_through_p_is_nonnegative():
+    # a flat 12-gon moved off the axes, with p at one of its vertices: the
+    # faces' planes miss p only by rounding, and none may add less than 0
+    rng = np.random.default_rng(0)
     flat = disk(1.0, 4, 12)
-    mesh = TriangleMesh(flat.vertices + np.array([1.2, 0.0, 0.2]), flat.faces)
-    a, b, c = _soup(mesh)
-    p, sigma, rho = np.zeros(3), 0.1, 5.0
-    n = np.array([0.0, 0.0, 1.0])
-    pieces = [(a, b, c)]
-    for _ in range(5):
-        pieces = [t for x, y, z in pieces
-                  for t in ((x, (x + y) / 2, (x + z) / 2),
-                            ((x + y) / 2, y, (y + z) / 2),
-                            ((x + z) / 2, (y + z) / 2, z),
-                            ((y + z) / 2, (x + z) / 2, (x + y) / 2))]
-    want = 0.0
-    for x, y, z in pieces:
-        pts = np.tensordot(RULE_POINTS, np.stack([x, y, z]), 1) - p
-        r = np.linalg.norm(pts, axis=-1)
-        f = np.exp(lambda1 * r) * (pts @ n / r) ** 2 / ((1.0 + gamma * r) * r**2)
-        area = 0.5 * np.linalg.norm(np.cross(y - x, z - x), axis=1)
-        want += float((RULE_WEIGHTS @ f * area).sum())
-    got = deficit_integral(mesh, p, sigma, rho, lambda1, gamma)
-    # one rule per coarse triangle is off by 8.7e-6 at lambda1 = 0 and by
-    # 2.1e-4 at lambda1 = 12
-    assert abs(got - want) <= 2e-6 * want
+    f = flat.faces
+    for _ in range(6):
+        v = flat.vertices @ np.linalg.qr(rng.standard_normal((3, 3)))[0].T
+        v += rng.standard_normal(3)
+        a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+        n = np.cross(b - a, c - a)
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        p = v[rng.integers(len(v))]
+        for face in zip(a, b, c, n):
+            assert 0.0 <= deficit_sum_tris(*face, p, 0.05, 0.5, 0.0, 0.0) < 1e-25
+
+
+def _catenoid_boundary_point():
+    t0 = CRITICAL_CATENOID_T0
+    scale = catenoid_scale_for_unit_sphere(t0)
+    return np.array([scale * math.cosh(t0), 0.0, scale * t0])
+
+
+def test_catenoid_deficits_are_nonnegative():
+    # the density-sweep profile: the smallest annulus holds only faces whose
+    # planes pass within rounding of p, and no face may add less than 0
+    prof = density_profile(critical_catenoid(64, 64), Sphere((0, 0, 0), 1.0),
+                           _catenoid_boundary_point(), default_radius_grid(0.4))
+    assert all(d >= 0.0 for d in prof.deficits)
+    assert prof.deficits[0] < 1e-20 < prof.deficits[1]
+    assert check_monotonicity(prof).passed
+
+
+def test_catenoid_deficit_settles_under_refinement():
+    # the faceted critical catenoid at its boundary point, lambda1 = 12 and
+    # gamma = 2 as on the unit sphere: successive differences shrink as the
+    # mesh is refined (no clean order shows, so none is asserted)
+    p = _catenoid_boundary_point()
+    values = np.array([[deficit_integral(critical_catenoid(n, n), p, s, r, 12.0, 2.0)
+                        for s, r in ((0.1, 0.2), (0.2, 0.4))]
+                       for n in (16, 32, 64, 128, 256)])
+    assert np.all(values > 0.0)
+    steps = np.abs(np.diff(values, axis=0))
+    assert np.all(steps[1:] < steps[:-1])
+    assert np.all(steps[-1] < 1e-2 * values[-1])

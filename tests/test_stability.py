@@ -11,10 +11,11 @@ from scipy.spatial import cKDTree
 from scipy.special import i0, i1
 
 from fbms.blowup import reflect_double
-from fbms.constraints import Plane, Sphere
-from fbms.mesh import refine
+from fbms.constraints import Ellipsoid, Graph, Plane, Sphere, Torus
+from fbms.mesh import TriangleMesh, refine, vertex_normals
 from fbms.samplers import critical_catenoid, disk, strip_on_plane
 from fbms.stability import (
+    _boundary_second_form_values,
     assemble_stability_form,
     is_stable,
     lowest_eigenpair,
@@ -175,3 +176,29 @@ def test_quadratic_form_rejects_bad_fields():
     bad[0] = np.nan
     with pytest.raises(ValueError):
         quadratic_form_value(form, bad)
+
+
+@pytest.mark.parametrize("constraint", [
+    Sphere((0, 0, 0), 1.0),
+    Ellipsoid((0, 0, 0), (1.0, 1.0, 0.7)),
+    Torus((0, 0, 0), 0.7, 0.3),
+    Graph({"c0": 0.1, "cxx": 0.3, "cxy": 0.2, "cyy": -0.4}),
+], ids=["sphere", "ellipsoid", "torus", "graph"])
+def test_boundary_second_form_matches_pointwise_loop(constraint):
+    # a bumpy disk whose rim lies near N, so the vertex normals leave the
+    # rim at varied angles; the batched values equal A^N(v, v) evaluated one
+    # constrained vertex at a time
+    flat = disk(1.0, 6, 24)
+    v = flat.vertices + 0.05 * np.random.default_rng(3).standard_normal(
+        flat.vertices.shape)
+    mesh = TriangleMesh(v, flat.faces, flat.constrained)
+    idx, got = _boundary_second_form_values(mesh, constraint)
+    assert np.array_equal(idx, np.flatnonzero(flat.constrained))
+    nu = vertex_normals(mesh).values[idx]
+    want = []
+    for foot, n in zip(constraint.project(v[idx]), nu):
+        nhat = constraint.unit_normal(foot)
+        t = n - (n @ nhat) * nhat
+        want.append(constraint.normal_second_form(foot, t / np.linalg.norm(t)))
+    want = np.array(want)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
