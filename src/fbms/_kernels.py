@@ -68,6 +68,19 @@ def _edge_roots(u, d, s2):
     return np.clip(t1, 0.0, 1.0), np.clip(t2, 0.0, 1.0)
 
 
+def _gauss_parts(t0, t1, length, gap):
+    """Splits each piece [t0, t1] of a parameter, `length` long, into parts
+    no longer than PART_REL times `gap`, its distance from the integrand's
+    nearest complex singularity (at most MAX_PARTS parts). Returns the piece
+    of each part, its (parts, EDGE_POINTS) Gauss-Legendre nodes and its half
+    width; a part adds half * (f(nodes) @ _GL_W)."""
+    parts = np.ceil(length / np.maximum(PART_REL * gap, length / MAX_PARTS)).astype(int)
+    j = np.repeat(np.arange(len(parts)), parts)
+    rank = np.arange(len(j)) - np.repeat(np.cumsum(parts) - parts, parts)
+    half = 0.5 * ((t1 - t0) / parts)[j]
+    return j, (t0[j] + (2 * rank + 1) * half)[:, None] + half[:, None] * _GL_X, half
+
+
 def _angle(x, y, n):
     """Signed angle from x to y about the unit normal n."""
     return np.arctan2(np.vecdot(np.cross(x, y), n), np.vecdot(x, y))
@@ -171,12 +184,7 @@ def deficit_sum_tris(a, b, c, normals, p, sigma, rho, lambda1, gamma):
     dd = np.vecdot(de, de)
     x = ue + np.clip(-np.vecdot(ue, de) / dd, t0, t1)[:, None] * de
     gap = np.sqrt(np.vecdot(x, x) + np.where(lo[i] > np.abs(h[i]), 0.0, h2[i]))
-    length = (t1 - t0) * np.sqrt(dd)
-    parts = np.ceil(length / np.maximum(PART_REL * gap, length / MAX_PARTS)).astype(int)
-    j = np.repeat(np.arange(len(parts)), parts)
-    rank = np.arange(len(j)) - np.repeat(np.cumsum(parts) - parts, parts)
-    half = 0.5 * ((t1 - t0) / parts)[j]
-    t = (t0[j] + (2 * rank + 1) * half)[:, None] + half[:, None] * _GL_X
+    j, t, half = _gauss_parts(t0, t1, (t1 - t0) * np.sqrt(dd), gap)
     e, i = e[j], i[j]
     x = ue[j, None, :] + t[..., None] * de[j, None, :]
     s2 = np.vecdot(x, x)
@@ -188,3 +196,44 @@ def deficit_sum_tris(a, b, c, normals, p, sigma, rho, lambda1, gamma):
     # annulus; only rounding is left of its angle sum
     meets = (hi2 > hi1).any(axis=0) | (turn >= 0.0).all(axis=0)
     return float(np.maximum(total[meets], 0.0).sum())
+
+
+def deficit_sum_segments(a, b, p, sigma, rho, lambda1, gamma):
+    """Integral of exp(lambda1 r) |component of grad r normal to the curve|^2
+    / ((1 + gamma r) r) over the parts of the segments [a, b] inside the
+    annulus sigma < |x - p| < rho: the k = 1 deficit.
+
+    At arclength s from the foot of p on a segment's line, at distance h, the
+    integrand is h^2 exp(lambda1 r) / ((1 + gamma r) r^3) with r^2 = h^2 + s^2.
+    Each segment is split at its roots on the two spheres. A piece adds
+    [s / r] between its ends when lambda1 = gamma = 0, and EDGE_POINTS-point
+    Gauss-Legendre in s on parts otherwise, short next to the piece's distance
+    from the singularities at s = +-ih. A segment on a line through p adds
+    exactly 0.
+    """
+    a, b = _tri_arrays(a, b)
+    p = np.asarray(p, dtype=float)
+    d = b - a
+    length = np.sqrt(np.vecdot(d, d))
+    keep = length > 0.0
+    u = d[keep] / length[keep, None]
+    w = a[keep] - p
+    s0 = np.vecdot(w, u)
+    foot = w - s0[:, None] * u
+    h2 = np.vecdot(foot, foot)
+    s1 = s0 + length[keep]
+    outer = np.sqrt(np.maximum(rho * rho - h2, 0.0))
+    inner = np.sqrt(np.maximum(sigma * sigma - h2, 0.0))
+    # the pieces s in [-outer, -inner] and [inner, outer] of each segment
+    lo = np.concatenate([np.maximum(s0, -outer), np.maximum(s0, inner)])
+    hi = np.concatenate([np.minimum(s1, -inner), np.minimum(s1, outer)])
+    h2 = np.tile(h2, 2)
+    live = (hi > lo) & (h2 > 0.0)
+    lo, hi, h2 = lo[live], hi[live], h2[live]
+    if lambda1 == 0.0 and gamma == 0.0:
+        return float((hi / np.sqrt(h2 + hi * hi) - lo / np.sqrt(h2 + lo * lo)).sum())
+    near = np.clip(0.0, lo, hi)
+    j, s, half = _gauss_parts(lo, hi, hi - lo, np.sqrt(h2 + near * near))
+    r = np.sqrt(h2[j, None] + s * s)
+    f = np.exp(lambda1 * r) / ((1.0 + gamma * r) * r ** 3)
+    return float((h2[j] * half * (f @ _GL_W)).sum())

@@ -130,8 +130,8 @@ class TriangleMesh:
 
     `constrained` flags boundary vertices whose position must satisfy the
     constraint equation; it is carried by the mesh but interpreted elsewhere.
-    Connectivity (`topology`) and the per-face geometry of the vertex
-    positions are computed on first use and cached.
+    Connectivity (`topology`), the per-face geometry of the vertex positions
+    and the cotangent Laplacian are computed on first use and cached.
     """
 
     def __init__(self, vertices, faces, constrained=None):
@@ -154,6 +154,7 @@ class TriangleMesh:
         self.constrained.setflags(write=False)
         self._topology = None
         self._frame = None
+        self._laplacian = None
 
     # -- basic combinatorics -------------------------------------------------
 
@@ -311,7 +312,19 @@ def vertex_normals(mesh: TriangleMesh) -> VertexField:
 
 
 def cotangent_laplacian(mesh: TriangleMesh) -> sp.csr_matrix:
-    """Positive semi-definite cotangent Laplacian, weights clamped for slivers."""
+    """Positive semi-definite cotangent Laplacian, weights clamped for slivers.
+
+    Built once per mesh and kept on it, since the vertices are immutable; its
+    arrays are read-only, so the shared matrix cannot be changed in place."""
+    if mesh._laplacian is None:
+        L = _assemble_laplacian(mesh)
+        for arr in (L.data, L.indices, L.indptr):
+            arr.setflags(write=False)
+        mesh._laplacian = L
+    return mesh._laplacian
+
+
+def _assemble_laplacian(mesh: TriangleMesh) -> sp.csr_matrix:
     v = mesh.vertices
     f = mesh.faces
     rows, cols, vals = [], [], []

@@ -22,8 +22,6 @@ from . import _kernels
 from .mesh import TriangleMesh
 from .variation import verify_minimal
 
-POLYLINE_QUAD_POINTS = 4096  # midpoint samples per segment of the k = 1 deficit
-
 
 @dataclass(frozen=True)
 class Polyline:
@@ -161,8 +159,9 @@ def mass_in_ball(geometry, p, r) -> BallMass:
 
 def deficit_integral(geometry, p, sigma, rho, Lambda1, gamma) -> float:
     """Integral of exp(Lambda1 r) |component of grad r normal to the
-    surface|^2 / ((1 + gamma r) r^k) over the annulus sigma < |x - p| < rho:
-    exact on mesh faces, a midpoint rule on polyline segments."""
+    surface|^2 / ((1 + gamma r) r^k) over the annulus sigma < |x - p| < rho,
+    exact on mesh faces and polyline segments: each is clipped by the two
+    spheres, with a closed form or Gauss-Legendre on the pieces between."""
     if not 0 < sigma < rho:
         raise ValueError("need 0 < sigma < rho")
     p = np.asarray(p, dtype=float)
@@ -179,23 +178,8 @@ def _deficit_polyline(poly, p, sigma, rho, Lambda1, gamma):
         v = np.hstack([v, np.zeros((len(v), 1))])
         if p.shape[0] == 2:
             p = np.array([p[0], p[1], 0.0])
-    total = 0.0
-    for a, b in zip(v[:-1], v[1:]):
-        L = np.linalg.norm(b - a)
-        if L < 1e-300:
-            continue
-        t = (np.arange(POLYLINE_QUAD_POINTS) + 0.5) / POLYLINE_QUAD_POINTS
-        x = a + t[:, None] * (b - a)
-        r = np.linalg.norm(x - p, axis=1)
-        ok = (r > sigma) & (r < rho)
-        if not ok.any():
-            continue
-        u = (b - a) / L
-        gr = (x[ok] - p) / r[ok][:, None]
-        perp2 = 1.0 - (gr @ u) ** 2  # normal component squared, k = 1
-        w = np.exp(Lambda1 * r[ok]) * perp2 / ((1.0 + gamma * r[ok]) * r[ok])
-        total += float(w.sum()) * L / POLYLINE_QUAD_POINTS
-    return total
+    return _kernels.deficit_sum_segments(v[:-1], v[1:], p, float(sigma), float(rho),
+                                         float(Lambda1), float(gamma))
 
 
 def _dimension_k(geometry):

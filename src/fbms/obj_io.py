@@ -1,5 +1,11 @@
 """Wavefront OBJ subset I/O (v/f records, 1-based indices).
 
+Only `v` and `f` records are read; every other line (comments, vn, vt, o, g,
+blank) is skipped. Extra vertex coordinates are ignored, a face token a/b/c
+keeps its vertex index a, and a face with other than three vertices is
+rejected. Each record type is parsed by one np.loadtxt call, and a malformed
+record raises ValueError as `file:line: reason`.
+
 Constrained boundary flags travel in a JSON sidecar of the form
 {"constrained": [vertex indices]}.
 """
@@ -7,21 +13,21 @@ Constrained boundary flags travel in a JSON sidecar of the form
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .mesh import TriangleMesh
 
+_AFTER_SLASH = re.compile(r"/\S*")
+
 
 def write_obj(mesh: TriangleMesh, path, sidecar=True):
     path = Path(path)
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
-    for f in mesh.faces:
-        lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
-    path.write_text("\n".join(lines) + "\n")
+    text = ("v %.17g %.17g %.17g\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist())
+            + "f %d %d %d\n" * mesh.n_faces % tuple((mesh.faces + 1).ravel().tolist()))
+    path.write_text(text or "\n")
     if sidecar:
         idx = np.nonzero(mesh.constrained)[0].tolist()
         path.with_suffix(".constrained.json").write_text(
@@ -29,24 +35,60 @@ def write_obj(mesh: TriangleMesh, path, sidecar=True):
         )
 
 
+def _reads(token, dtype):
+    try:
+        np.loadtxt([token], dtype=dtype, comments=None)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse(path, rows, numbers, faces):
+    """(len(rows), 3) array of the v record bodies `rows`, or of the f record
+    bodies when `faces`, from one np.loadtxt call; `numbers` are their lines
+    in the file, named by the ValueError a malformed body raises."""
+    dtype = np.int64 if faces else float
+    if not rows:  # np.loadtxt warns on empty input
+        return np.empty((0, 3), dtype=dtype)
+    if faces:
+        rows = _AFTER_SLASH.sub("", "\n".join(rows)).split("\n")
+    try:
+        out = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2,
+                         usecols=None if faces else (0, 1, 2))
+        if out.shape == (len(rows), 3):  # loadtxt skips blank rows
+            return out
+    except ValueError:
+        pass
+    for row, number in zip(rows, numbers):
+        tokens = row.split()
+        if faces and len(tokens) != 3:
+            reason = "only triangle faces are supported"
+        elif len(tokens) < 3:
+            reason = "a vertex needs 3 coordinates"
+        else:
+            bad = [t for t in tokens[:3] if not _reads(t, dtype)]
+            if not bad:
+                continue
+            reason = f"could not convert {bad[0]!r}"
+        raise ValueError(f"{path.name}:{number}: {reason}")
+    raise ValueError(f"{path.name}: unreadable {'f' if faces else 'v'} records")
+
+
 def read_obj(path) -> TriangleMesh:
     path = Path(path)
-    verts, faces = [], []
-    for line in path.read_text().splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "v":
-            verts.append([float(x) for x in parts[1:4]])
-        elif parts[0] == "f":
-            idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-            if len(idx) != 3:
-                raise ValueError("only triangle faces are supported")
-            faces.append(idx)
+    records = {"v": ([], []), "f": ([], [])}  # record bodies, their lines
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        parts = line.split(None, 1)
+        if parts and parts[0] in records:
+            rows, numbers = records[parts[0]]
+            rows.append(parts[1] if len(parts) == 2 else "")
+            numbers.append(number)
+    verts = _parse(path, *records["v"], faces=False)
+    faces = _parse(path, *records["f"], faces=True) - 1
     constrained = None
     sidecar = path.with_suffix(".constrained.json")
     if sidecar.exists():
         idx = json.loads(sidecar.read_text())["constrained"]
         constrained = np.zeros(len(verts), dtype=bool)
         constrained[idx] = True
-    return TriangleMesh(np.array(verts), np.array(faces, dtype=np.int64), constrained)
+    return TriangleMesh(verts, faces, constrained)

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 import scipy
 
+import fbms.mesh
 from fbms.cli import emit_report_bundle
 from fbms.cli import main as cli_main
+from fbms.obj_io import write_obj
+from fbms.samplers import disk
 from fbms.scenarios import (
     ScenarioError,
     builtin_scenarios,
@@ -123,6 +126,40 @@ def test_stability_warnings_are_recorded(tmp_path):
     stability = json.loads((tmp_path / "cap" / "stability.json").read_text())
     assert [w.split(" (")[0] for w in stability["warnings"]] == [
         "mesh does not verify as minimal"]
+
+
+def test_disk_in_ball_builds_one_laplacian(tmp_path, monkeypatch):
+    # verify, the stability form and the density profile's re-verify all
+    # read the final mesh's one cotangent Laplacian
+    built = []
+    assemble = fbms.mesh._assemble_laplacian
+    monkeypatch.setattr(fbms.mesh, "_assemble_laplacian",
+                        lambda mesh: built.append(mesh) or assemble(mesh))
+    man = run_scenario(builtin_scenarios()["disk-in-ball"], tmp_path / "disk")
+    assert man.all_passed()
+    assert set(man.stage_pass) >= {"verify", "stability", "monotonicity"}
+    assert len(built) == 1
+
+
+def test_obj_input_reports_match_builtin(tmp_path):
+    cfg = builtin_scenarios()["disk-in-ball"]
+    write_obj(disk(**cfg["initial_mesh"]["params"]), tmp_path / "disk.obj")
+    run_scenario(cfg, tmp_path / "builtin")
+    run_scenario(dict(cfg, initial_mesh={"obj": str(tmp_path / "disk.obj")}),
+                 tmp_path / "obj")
+    for name in ("final_mesh.obj", "verify.json", "stability.json", "density.json"):
+        builtin = (tmp_path / "builtin" / name).read_bytes()
+        assert (tmp_path / "obj" / name).read_bytes() == builtin, name
+
+
+def test_malformed_obj_fails_setup_with_file_line(tmp_path):
+    path = tmp_path / "mesh.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\n# corrupted\nv 0 1 abc\nf 1 2 3\n")
+    cfg = dict(builtin_scenarios()["halfplane-monotone"], initial_mesh={"obj": str(path)})
+    man = run_scenario(cfg, tmp_path / "out")
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure == {"stage": "setup", "error": "mesh.obj:4: could not convert 'abc'"}
+    assert man.failure == failure and man.stage_pass == {}
 
 
 def test_run_scenario_polyline_oracle(tmp_path):

@@ -1,8 +1,10 @@
 """Mesh data structure and discrete operators."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fbms.mesh import (
     TriangleMesh,
@@ -25,6 +27,7 @@ from fbms.samplers import (
     icosphere,
     strip_on_plane,
 )
+from fbms.scenarios import _BUILTIN_SAMPLERS
 
 
 def test_flat_square_is_valid_and_has_unit_area():
@@ -141,9 +144,111 @@ def test_obj_roundtrip(tmp_path):
     path = tmp_path / "mesh.obj"
     write_obj(m, path)
     back = read_obj(path)
-    assert np.allclose(back.vertices, m.vertices)
+    assert np.array_equal(back.vertices, m.vertices)
     assert np.array_equal(back.faces, m.faces)
     assert np.array_equal(back.constrained, m.constrained)
+
+
+def _assert_exact_roundtrip(m, path):
+    write_obj(m, path)
+    back = read_obj(path)
+    assert back.vertices.tobytes() == m.vertices.tobytes()  # bitwise, -0.0 too
+    assert np.array_equal(back.faces, m.faces)
+    assert np.array_equal(back.constrained, m.constrained)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTIN_SAMPLERS))
+def test_obj_roundtrip_is_exact_for_builtin_meshes(tmp_path, name):
+    _assert_exact_roundtrip(_BUILTIN_SAMPLERS[name](), tmp_path / "mesh.obj")
+
+
+@settings(max_examples=50, deadline=None)
+@given(arrays(float, (4, 3), elements=st.floats(allow_nan=False)))
+@example(np.array([[-0.0, 0.1, 1 / 3], [1e-300, 5e-324, -5e-324],
+                   [1.7976931348623157e308, -1e-300, 2.0 / 3], [0.0, -0.1, 1e22]]))
+def test_obj_roundtrip_is_exact_for_any_coordinates(tmp_path_factory, verts):
+    m = TriangleMesh(verts, [[0, 1, 2], [0, 2, 3]], [True, False, True, False])
+    _assert_exact_roundtrip(m, tmp_path_factory.mktemp("obj") / "mesh.obj")
+
+
+def _per_line_obj(mesh):
+    """The OBJ text as written one f-string per record."""
+    lines = [f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}" for v in mesh.vertices]
+    lines += [f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}" for f in mesh.faces]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_obj_matches_per_line_golden_bytes(tmp_path):
+    bumpy = catenoid(-1.0, 1.0, 6, 10)
+    bumpy = bumpy.with_vertices(bumpy.vertices / 3.0 + 1e-7)
+    empty = TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
+    for m in (half_disk(1.0, 6, 12), bumpy, empty):
+        write_obj(m, tmp_path / "mesh.obj", sidecar=False)
+        assert (tmp_path / "mesh.obj").read_bytes() == _per_line_obj(m).encode()
+    assert _per_line_obj(empty) == "\n"
+    assert read_obj(tmp_path / "mesh.obj").n_vertices == 0
+
+
+def test_read_obj_accepted_subset(tmp_path):
+    path = tmp_path / "mesh.obj"
+    path.write_text(
+        "# a comment\n"
+        "o patch\n"
+        "g group\n"
+        "\n"
+        "v 0 0 0\n"
+        "v\t1\t0\t0\t1.0\n"  # tab separated, with a w coordinate
+        "vn 0 0 1\n"
+        "vt 0.5 0.5\n"
+        "  v 0 1 0  \n"
+        "v 1 1 0 0.5 0.5 0.5\n"  # with a vertex colour
+        "f 1/1/1 2/2/2 3/3/3\n"
+        "f\t2//1 4//1 3//1\n"
+    )
+    m = read_obj(path)
+    assert np.array_equal(m.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    assert np.array_equal(m.faces, [[0, 1, 2], [1, 3, 2]])
+    assert not m.constrained.any()
+
+
+@pytest.mark.parametrize("faces", ["f 1 2 3 4\n", "f 1 2 3\nf 1 2 3 4\n"])
+def test_read_obj_rejects_quads(tmp_path, faces):
+    path = tmp_path / "mesh.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n" + faces)
+    line = faces.count("\n") + 4
+    with pytest.raises(ValueError, match=f"^mesh.obj:{line}: only triangle faces"):
+        read_obj(path)
+
+
+@pytest.mark.parametrize("record, reason", [
+    ("v 0 0 abc", "could not convert 'abc'"),
+    ("v 0 1", "a vertex needs 3 coordinates"),
+    ("v", "a vertex needs 3 coordinates"),
+    ("f 1 x/2/2 3", "could not convert 'x'"),
+    ("f 1 2.0 3", "could not convert '2.0'"),
+    ("v 1_0 0 0", "could not convert '1_0'"),
+    ("v 1 2 # 3", "could not convert '#'"),
+])
+def test_read_obj_error_names_file_line(tmp_path, record, reason):
+    # the bad record is line 12 of the file, whatever its row in its block
+    path = tmp_path / "mesh.obj"
+    path.write_text("# header\n\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
+                    "vn 0 0 1\n# c\n\nv 1 1 0\nf 2 4 3\n" + record + "\nv 2 2 0\n")
+    with pytest.raises(ValueError) as info:
+        read_obj(path)
+    assert str(info.value) == f"mesh.obj:12: {reason}"
+
+
+def test_cotangent_laplacian_is_built_once_per_mesh():
+    m = disk(1.0, 6, 18)
+    L = cotangent_laplacian(m)
+    assert cotangent_laplacian(m) is L
+    assert not L.data.flags.writeable  # shared, so read-only
+    moved = m.with_vertices(1.5 * m.vertices)
+    assert cotangent_laplacian(moved) is not L
+    assert np.allclose(cotangent_laplacian(moved).toarray(), L.toarray())  # scale-free
+    fine = refine(m)
+    assert cotangent_laplacian(fine).shape == (fine.n_vertices,) * 2
 
 
 @settings(max_examples=25, deadline=None)

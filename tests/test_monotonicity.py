@@ -300,6 +300,40 @@ def test_deficit_closed_form_on_flat_disk(n, lambda1, gamma):
     assert abs(got - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("moved", [False, True])
+@pytest.mark.parametrize("pieces", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("lambda1, gamma", [(0.0, 0.0), (12.0, 2.0)])
+def test_k1_deficit_of_a_segment_cut_by_both_spheres(pieces, lambda1, gamma, moved):
+    # the segment y = h, x in [-1, 1], about p = 0, split into pieces and, when
+    # moved, rotated and translated in space: at x the squared component of
+    # grad r normal to it is h^2 / r^2, with r^2 = h^2 + x^2
+    h, sigma, rho = 0.1, 0.15, 0.6
+
+    def integrand(x):
+        r = math.hypot(x, h)
+        return math.exp(lambda1 * r) * h * h / ((1.0 + gamma * r) * r**3)
+
+    ends = math.sqrt(sigma**2 - h**2), math.sqrt(rho**2 - h**2)
+    want = 2.0 * quad(integrand, *ends, epsabs=0.0, epsrel=1e-13)[0]
+    if lambda1 == 0.0:  # the integrand is d(x / r) / dx
+        assert abs(want - 2.0 * (ends[1] / rho - ends[0] / sigma)) <= 1e-13 * want
+    x = np.linspace(-1.0, 1.0, pieces + 1)
+    v, p = np.stack([x, np.full_like(x, h)], axis=1), np.zeros(2)
+    if moved:
+        shift = np.array([0.4, -1.3, 2.2])
+        v = np.hstack([v, np.zeros((len(v), 1))]) @ _rotation().T + shift
+        p = shift
+    got = deficit_integral(Polyline(v), p, sigma, rho, lambda1, gamma)
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("lambda1, gamma", [(0.0, 0.0), (12.0, 2.0)])
+def test_k1_deficit_of_a_radial_polyline_is_zero(lambda1, gamma):
+    # on a line through p, grad r is tangent to the curve
+    line = Polyline(np.array([[0.0, 0.0], [0.3, 0.0], [1.0, 0.0]]))
+    assert deficit_integral(line, np.array([-0.1, 0.0]), 0.15, 0.6, lambda1, gamma) == 0.0
+
+
 def _rotation():
     return np.linalg.qr(np.array([[0.3, -0.8, 0.5], [0.9, 0.2, -0.4],
                                   [0.1, 0.6, 0.7]]))[0]
