@@ -51,32 +51,29 @@ class FermiChart:
         out = feet + (c[:, 0] * signs)[:, None] * normals
         return out[0] if single else out
 
-    def to_fermi(self, points, tol=1e-10, max_iter=60):
-        """Newton inversion of the chart map."""
+    def to_fermi(self, points):
+        """Closed-form inverse of the chart map.
+
+        The foot of x is its nearest point on N and t its offset along the
+        oriented normal there. The tangent coordinates are those of the
+        point where the normal line through the foot meets the base tangent
+        plane, foot + s n(foot); it projects back to the foot while |s|
+        stays below the reach R0 of N, and the chart is not injective past it.
+        """
         points = np.asarray(points, dtype=float)
         single = points.ndim == 1
         pts = np.atleast_2d(points)
         n, e1, e2 = self.frame
-        rel = pts - self.base
-        out = np.column_stack([rel @ n, rel @ e1, rel @ e2])
-        scale = 1.0 + float(np.linalg.norm(rel, axis=1).max())
-        for _ in range(max_iter):
-            F = self.from_fermi(out) - pts
-            err = np.linalg.norm(F, axis=1)
-            if err.max() <= tol * scale:
-                break
-            h = 1e-6
-            J = np.empty((len(pts), 3, 3))
-            for j in range(3):
-                dp = np.zeros(3)
-                dp[j] = h
-                J[:, :, j] = (self.from_fermi(out + dp) - self.from_fermi(out - dp)) / (2 * h)
-            try:
-                out = out - np.linalg.solve(J, F[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                raise ValueError("chart radius exceeds injectivity of projection")
-        else:
+        feet = self.constraint.project(pts)
+        normals = self.constraint.unit_normal(feet)
+        along = normals @ n
+        rise = (feet - self.base) @ n
+        if np.any(np.abs(rise) >= self.constraint.radius_R0() * np.abs(along)):
             raise ValueError("chart radius exceeds injectivity of projection")
+        # the normal oriented as in from_fermi; along is never 0 past the check
+        t = np.vecdot(pts - feet, normals) * np.sign(along)
+        rel = feet - self.base - (rise / along)[:, None] * normals
+        out = np.column_stack([t, rel @ e1, rel @ e2])
         return out[0] if single else out
 
 
@@ -161,17 +158,17 @@ def graph_extract(chart: FermiChart, mesh, tangent_halfspace, grid_spec: GridSpe
     hits = [[[] for _ in sv] for _ in tv]
     E1 = tris[:, 1] - tris[:, 0]
     E2 = tris[:, 2] - tris[:, 0]
+    # the systems [E1, E2, -w3] [beta, gamma, tau]^T = q - tri0 share their
+    # matrices across grid points; triangles parallel to w3 have none
+    M = np.stack([E1, E2, np.broadcast_to(-w3, E1.shape)], axis=2)
+    ok = np.abs(np.linalg.det(M)) > 1e-14
+    if not ok.any():
+        raise ValueError("no intersection")
+    M, origins = M[ok], tris[ok, 0]
     for i, t in enumerate(tv):
         for j, s in enumerate(sv):
             q = t * w1 + s * w2
-            # solve A [beta, gamma, tau]^T = q - tri0 per triangle
-            rhs = q - tris[:, 0]
-            M = np.stack([E1, E2, np.broadcast_to(-w3, E1.shape)], axis=2)
-            det = np.linalg.det(M)
-            ok = np.abs(det) > 1e-14
-            if not ok.any():
-                continue
-            sol = np.linalg.solve(M[ok], rhs[ok][:, :, None])[:, :, 0]
+            sol = np.linalg.solve(M, (q - origins)[:, :, None])[:, :, 0]
             beta, gamma, tau = sol[:, 0], sol[:, 1], sol[:, 2]
             inside = (beta >= -1e-9) & (gamma >= -1e-9) & (beta + gamma <= 1 + 1e-9)
             found = np.sort(tau[inside])

@@ -217,8 +217,12 @@ def default_radius_grid(r_max, levels=6):
 
 
 def density_profile(geometry, constraint, p, radii, Lambda=0.0,
-                    kappa=None) -> DensityProfile:
-    """Weighted density ratio Theta over a radius grid at a base point on N."""
+                    kappa=None, check=None) -> DensityProfile:
+    """Weighted density ratio Theta over a radius grid at a base point on N.
+
+    A triangle mesh is verified as minimal, unless check, verify_minimal's
+    result for this mesh and constraint, is given.
+    """
     p = np.asarray(p, dtype=float)
     if constraint is not None:
         pp = p if p.shape[0] == 3 else np.array([p[0], p[1], 0.0])
@@ -235,7 +239,9 @@ def density_profile(geometry, constraint, p, radii, Lambda=0.0,
     gamma = 2.0 / R0 if np.isfinite(R0) else 0.0
     verified = True
     if isinstance(geometry, TriangleMesh) and constraint is not None:
-        verified = bool(verify_minimal(geometry, constraint)["passes"])
+        if check is None:
+            check = verify_minimal(geometry, constraint)
+        verified = bool(check["passes"])
     return _profile(geometry, p, radii, gamma, Lambda, minimal_verified=verified)
 
 

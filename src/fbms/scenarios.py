@@ -403,6 +403,7 @@ def run_scenario(config: dict, out_dir, seed=None) -> RunManifest:
         expect=config.get("expect"),
     )
     stage = "setup"
+    check = None  # the verify stage's result, reused by later stages
     try:
         geometry = _build_geometry(config["initial_mesh"])
         constraint = constraint_from_spec(config["constraint"])
@@ -441,7 +442,7 @@ def run_scenario(config: dict, out_dir, seed=None) -> RunManifest:
             t0 = time.perf_counter()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                report = is_stable(geometry, constraint)
+                report = is_stable(geometry, constraint, check=check)
             manifest.stage_seconds[stage] = time.perf_counter() - t0
             stability = report.to_json_dict()
             stability["warnings"] = [str(w.message) for w in caught]
@@ -458,7 +459,7 @@ def run_scenario(config: dict, out_dir, seed=None) -> RunManifest:
             spec = analysis["monotonicity"]
             profile = density_profile(
                 geometry, constraint, np.asarray(spec["base_point"], dtype=float),
-                spec["radii"],
+                spec["radii"], check=check,
             )
             mono = check_monotonicity(profile)
             manifest.stage_seconds[stage] = time.perf_counter() - t0

@@ -5,7 +5,12 @@ boundary term (second form of the constraint in the surface-normal direction)
 integrated along the constrained boundary. The ambient is flat, so there is
 no Ricci term. Stability means Q >= 0 on all scalar fields, certified by the
 lowest generalized eigenvalue, which ARPACK finds in shift-invert mode
-started from the constant field rather than a random vector.
+started from the constant field rather than a random vector. The shifted
+operator is factored once per eigensolve, on a symmetric minimum-degree
+ordering with diagonal pivots; the shift keeps it diagonally dominant.
+
+The pipeline verifies the mesh as minimal before this stage and hands the
+result to the assembly, which verifies only when called without it.
 """
 
 from __future__ import annotations
@@ -94,9 +99,14 @@ def _boundary_second_form_values(mesh: TriangleMesh, constraint):
     return idx, vals
 
 
-def assemble_stability_form(mesh: TriangleMesh, constraint) -> StabilityForm:
-    """Lumped finite-element assembly of the second-variation form."""
-    check = verify_minimal(mesh, constraint)
+def assemble_stability_form(mesh: TriangleMesh, constraint, check=None) -> StabilityForm:
+    """Lumped finite-element assembly of the second-variation form.
+
+    check is verify_minimal's result for this mesh and constraint; it is
+    computed when not given.
+    """
+    if check is None:
+        check = verify_minimal(mesh, constraint)
     if not check["passes"]:
         warnings.warn(
             "mesh does not verify as minimal "
@@ -139,6 +149,15 @@ def lowest_eigenpair(form: StabilityForm):
     One ARPACK shift-invert solve with the shift below a generalized
     Gershgorin bound, started from the constant field: the ground state has
     one sign on a connected surface, so the start is never deficient in it.
+
+    A - sigma M is factored once, on a symmetric minimum-degree ordering of
+    its pattern with diagonal pivots. The shift lies a unit below the
+    Gershgorin bound, so every row of A - sigma M has a positive diagonal
+    that exceeds the sum of its off-diagonal magnitudes by at least its
+    mass; a strictly diagonally dominant matrix keeps that property through
+    Gaussian elimination in any symmetric order, so no pivot is small and
+    no row exchange is needed.
+
     The eigenfunction is M-normalised with sum(m f) > 0; lambda is its
     Rayleigh quotient and the residual is measured on the returned pair.
     """
@@ -148,8 +167,17 @@ def lowest_eigenpair(form: StabilityForm):
     absA = abs(A)
     radii = np.asarray(absA.sum(axis=1)).ravel() - np.abs(A.diagonal())
     lower = float(np.min((A.diagonal() - radii) / m))
+    sigma = min(lower, 0.0) - 1.0
+    lu = spla.splu(
+        (A - sigma * form.mass).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    n = A.shape[0]
     _, vecs = spla.eigsh(
-        A, k=1, M=form.mass, sigma=min(lower, 0.0) - 1.0, v0=np.ones(A.shape[0])
+        A, k=1, M=form.mass, sigma=sigma, v0=np.ones(n),
+        OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
     )
     x = vecs[:, 0] / np.sqrt(vecs[:, 0] @ (m * vecs[:, 0]))
     if m @ x < 0:
@@ -159,8 +187,9 @@ def lowest_eigenpair(form: StabilityForm):
     return lam, VertexField(x, "scalar"), float(res)
 
 
-def is_stable(mesh: TriangleMesh, constraint, tol: float = 1e-8) -> StabilityReport:
-    form = assemble_stability_form(mesh, constraint)
+def is_stable(mesh: TriangleMesh, constraint, tol: float = 1e-8,
+              check=None) -> StabilityReport:
+    form = assemble_stability_form(mesh, constraint, check)
     lam, f, res = lowest_eigenpair(form)
     return StabilityReport(
         lambda_min=lam,

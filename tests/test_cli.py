@@ -9,6 +9,10 @@ import pytest
 import scipy
 
 import fbms.mesh
+import fbms.monotonicity
+import fbms.scenarios
+import fbms.stability
+import fbms.variation
 from fbms.cli import emit_report_bundle
 from fbms.cli import main as cli_main
 from fbms.obj_io import write_obj
@@ -139,6 +143,20 @@ def test_disk_in_ball_builds_one_laplacian(tmp_path, monkeypatch):
     assert man.all_passed()
     assert set(man.stage_pass) >= {"verify", "stability", "monotonicity"}
     assert len(built) == 1
+
+
+def test_disk_in_ball_verifies_once(tmp_path, monkeypatch):
+    # the stability form and the density profile take the verify stage's
+    # result; every module that binds verify_minimal counts into one list
+    calls = []
+    verify = fbms.variation.verify_minimal
+    for module in (fbms.scenarios, fbms.stability, fbms.monotonicity):
+        monkeypatch.setattr(module, "verify_minimal",
+                            lambda *a, **k: calls.append(a[0]) or verify(*a, **k))
+    man = run_scenario(builtin_scenarios()["disk-in-ball"], tmp_path / "disk")
+    assert man.all_passed()
+    assert set(man.stage_pass) >= {"verify", "stability", "monotonicity"}
+    assert len(calls) == 1
 
 
 def test_obj_input_reports_match_builtin(tmp_path):

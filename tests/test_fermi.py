@@ -4,10 +4,16 @@ Neumann residual of the orthogonality condition."""
 import numpy as np
 import pytest
 
-from fbms.constraints import Plane, Sphere
+from fbms.constraints import Ellipsoid, Plane, Sphere
 from fbms.fermi import FermiChart, GridSpec, build_chart, graph_extract, neumann_residual
-from fbms.mesh import TriangleMesh
-from fbms.samplers import disk, grid_patch
+from fbms.mesh import TriangleMesh, vertex_normals
+from fbms.samplers import (
+    CRITICAL_CATENOID_T0,
+    catenoid_scale_for_unit_sphere,
+    critical_catenoid,
+    disk,
+    grid_patch,
+)
 
 BALL = Sphere((0, 0, 0), 1.0)
 P = np.array([1.0, 0.0, 0.0])
@@ -53,7 +59,36 @@ def test_chart_roundtrip_sphere_and_plane():
         rng = np.random.default_rng(1)
         coords = rng.uniform(-0.15, 0.15, size=(25, 3))
         back = chart.to_fermi(chart.from_fermi(coords))
-        assert np.abs(back - coords).max() < 1e-8
+        assert np.abs(back - coords).max() <= 1e-14
+
+
+class _Ellipsoid(Ellipsoid):
+    # a convex surface's turning bound is its largest principal curvature,
+    # a_max / a_min^2 for these semi-axes (Blaschke's rolling theorem)
+    analytic_kappa = 1.2 / 0.8**2
+
+
+@pytest.mark.parametrize("base", [(0.0, 0.0, 0.8), (1.2, 0.0, 0.0)],
+                         ids=["flat-end", "sharp-end"])
+def test_chart_roundtrip_ellipsoid(base):
+    chart = build_chart(_Ellipsoid((0, 0, 0), (1.2, 1.0, 0.8)), np.array(base), 0.4)
+    coords = np.random.default_rng(1).uniform(-0.15, 0.15, size=(200, 3))
+    back = chart.to_fermi(chart.from_fermi(coords))
+    # the ellipsoid's projection is a Newton solve to 1e-12 relative, and
+    # both directions of the round trip project once
+    assert np.abs(back - coords).max() <= 1e-12
+
+
+def test_to_fermi_rejects_points_past_the_reach():
+    chart = build_chart(BALL, P, 0.4)
+    # the normal line through the foot of this point meets the base
+    # tangent plane x = 1 at distance 2.2 from the foot, past the reach 1
+    with pytest.raises(ValueError, match="injectivity"):
+        chart.to_fermi(np.array([[0.9, 0.0, 0.0], [-0.5, 0.3, 0.0]]))
+    # on the great circle orthogonal to the base the normal line is parallel
+    # to the tangent plane and meets it nowhere
+    with pytest.raises(ValueError, match="injectivity"):
+        chart.to_fermi(np.array([0.0, 0.9, 0.0]))
 
 
 def test_plane_chart_is_affine():
@@ -149,3 +184,68 @@ def test_graph_csv_has_row_per_node_and_sheet():
     lines = sample.to_csv().strip().split("\n")
     assert lines[0] == "t,s,sheet,u,valid"
     assert len(lines) == 1 + 3 * 5 * sample.sheet_count
+
+
+def _graph_extract_per_point(chart, mesh, w1, w2, grid_spec):
+    """Reference graph_extract: every face's system is built, tested and
+    solved afresh at each grid point."""
+    w1 = w1 / np.linalg.norm(w1)
+    w2 = w2 - (w2 @ w1) * w1
+    w2 /= np.linalg.norm(w2)
+    w3 = np.cross(w1, w2)
+    near = np.linalg.norm(mesh.vertices - chart.base, axis=1) < chart.radius
+    faces = mesh.faces[near[mesh.faces].all(axis=1)]
+    used = np.unique(faces)
+    coords = np.full((mesh.n_vertices, 3), np.nan)
+    coords[used] = chart.to_fermi(mesh.vertices[used])
+    tris = coords[faces]
+    tv = grid_spec.h * np.arange(grid_spec.nt)
+    sv = np.linspace(-grid_spec.s_half, grid_spec.s_half, grid_spec.ns)
+    hits = {}
+    E1 = tris[:, 1] - tris[:, 0]
+    E2 = tris[:, 2] - tris[:, 0]
+    for i, t in enumerate(tv):
+        for j, s in enumerate(sv):
+            q = t * w1 + s * w2
+            rhs = q - tris[:, 0]
+            M = np.stack([E1, E2, np.broadcast_to(-w3, E1.shape)], axis=2)
+            ok = np.abs(np.linalg.det(M)) > 1e-14
+            sol = np.linalg.solve(M[ok], rhs[ok][:, :, None])[:, :, 0]
+            beta, gamma, tau = sol[:, 0], sol[:, 1], sol[:, 2]
+            inside = (beta >= -1e-9) & (gamma >= -1e-9) & (beta + gamma <= 1 + 1e-9)
+            dedup = []
+            for u in np.sort(tau[inside]):
+                if not dedup or u - dedup[-1] > 1e-9 * (1 + abs(u)):
+                    dedup.append(float(u))
+            hits[i, j] = dedup
+    return hits
+
+
+def _scenario_halfplane(chart, mesh):
+    """(w1, w2) as the scenario runner's Fermi stage picks them."""
+    n, e1, e2 = chart.frame
+    nearest = int(np.argmin(np.linalg.norm(mesh.vertices - chart.base, axis=1)))
+    bt = np.cross(vertex_normals(mesh).values[nearest], n)
+    bt /= np.linalg.norm(bt)
+    return np.array([-1.0, 0.0, 0.0]), np.array([0.0, bt @ e1, bt @ e2])
+
+
+_T0 = CRITICAL_CATENOID_T0
+_A = catenoid_scale_for_unit_sphere(_T0)
+
+
+@pytest.mark.parametrize("mesh, base", [
+    (disk(1.0, 32, 96), P),
+    (critical_catenoid(48, 48), np.array([_A * np.cosh(_T0), 0.0, _A * _T0])),
+], ids=["disk", "catenoid"])
+def test_graph_extract_equals_per_point_systems(mesh, base):
+    chart = build_chart(BALL, base, 0.4)
+    w1, w2 = _scenario_halfplane(chart, mesh)
+    spec = GridSpec.default(chart.radius)
+    sample = graph_extract(chart, mesh, (w1, w2), spec)
+    hits = _graph_extract_per_point(chart, mesh, w1, w2, spec)
+    assert sample.sheet_count == max(len(h) for h in hits.values()) >= 1
+    for (i, j), want in hits.items():
+        k = len(want)
+        assert sample.valid[i, j, :k].all() and not sample.valid[i, j, k:].any()
+        assert np.array_equal(sample.u[i, j, :k], want)

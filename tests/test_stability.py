@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
@@ -202,3 +203,24 @@ def test_boundary_second_form_matches_pointwise_loop(constraint):
         want.append(constraint.normal_second_form(foot, t / np.linalg.norm(t)))
     want = np.array(want)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mesh", [disk(1.0, 8, 24), critical_catenoid(16, 16)],
+                         ids=["disk", "catenoid"])
+@pytest.mark.filterwarnings("ignore:mesh does not verify as minimal")
+def test_lowest_eigenpair_matches_dense_eigh(mesh):
+    # the sparse factorization with diagonal pivots against LAPACK's dense
+    # generalized symmetric eigensolver on the same form; the coarse
+    # catenoid's rim misses orthogonality by 4e-2, which does not matter to
+    # the linear algebra
+    form = assemble_stability_form(mesh, BALL)
+    lam, vec, res = lowest_eigenpair(form)
+    m = form.mass.diagonal()
+    vals, vecs = scipy.linalg.eigh(form.operator().toarray(), np.diag(m))
+    assert vals[1] - vals[0] > 0.1  # a simple ground state
+    want = vecs[:, 0] / np.sqrt(vecs[:, 0] @ (m * vecs[:, 0]))
+    if m @ want < 0:
+        want = -want
+    assert abs(lam - vals[0]) <= 1e-10 * abs(vals[0])
+    assert np.abs(vec.values - want).max() <= 1e-10
+    assert res <= 1e-10
