@@ -10,9 +10,6 @@ the ball) over a scenario family.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,15 +169,3 @@ def curvature_survey(rows, ball, area_bound=None):
     }
     return out, summary
 
-
-def survey_csv(rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["scenario", "area", "stable", "lambda_min", "sup_norm"])
-    for r in rows:
-        w.writerow([r.scenario, repr(r.area), int(r.stable), repr(r.lambda_min), repr(r.sup_norm)])
-    return buf.getvalue()
-
-
-def survey_summary_json(summary) -> str:
-    return json.dumps(summary, sort_keys=True)

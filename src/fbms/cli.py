@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 import tarfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .scenarios import (
     ScenarioError,
+    _stages_run,
     builtin_scenarios,
     run_scenario,
     validate_config,
@@ -47,10 +46,8 @@ def cmd_list(_args) -> int:
             desc = f"{src}({params})"
         else:
             desc = "polyline (k=1 oracle)"
-        stages = ["solve"] if cfg.get("solver") else []
-        stages += sorted(cfg.get("analysis", {}).keys())
         extra = cfg.get("description", "")
-        line = f"{name:<{width}}  {desc}  stages: {'+'.join(stages)}"
+        line = f"{name:<{width}}  {desc}  stages: {'+'.join(_stages_run(cfg))}"
         if extra:
             line += f"  ({extra})"
         if "expect" in cfg:
@@ -67,18 +64,8 @@ def cmd_run(args) -> int:
     except (ScenarioError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    seed = os.environ.get("FBMS_SEED")
-    seed = int(seed) if seed is not None else None
     out_root = Path(args.out)
-
-    def one(cfg):
-        return run_scenario(cfg, out_root / cfg["name"], seed=seed)
-
-    if args.jobs > 1 and len(configs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            manifests = list(pool.map(one, configs))
-    else:
-        manifests = [one(c) for c in configs]
+    manifests = [run_scenario(c, out_root / c["name"]) for c in configs]
 
     # the exit code says whether every outcome is the declared one
     ok = True
@@ -146,7 +133,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run scenarios (builtin name or config path)")
     p_run.add_argument("scenario", nargs="+")
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--out", default="fbms-out")
     p_run.set_defaults(func=cmd_run)
 

@@ -1,14 +1,14 @@
 """Analytic constraint hypersurfaces as level sets, with the projection toolkit.
 
-Each primitive supplies phi, grad phi and Hess phi in closed form, declares a
-tubular band width inside which the nearest-point projection is trustworthy,
-and says which side of {phi = 0} counts as "inside" (used for the sign of the
-normal second fundamental form: the unit ball boundary gives +1).
+Each primitive supplies phi, grad phi and Hess phi in closed form, declares
+its reach R0 (the largest distance within which every point has a unique
+nearest point on N; its turning bound is kappa = 1/R0), and says which side
+of {phi = 0} counts as "inside" (used for the sign of the normal second
+fundamental form: the unit ball boundary gives +1). The reach bounds the
+nearest-point projection, the Fermi charts and the monotonicity radii.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,25 +17,10 @@ class ProjectionError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class TurningBound:
-    """Sampled lower estimate of the global turning bound of N."""
-
-    kappa: float
-    radius_R0: float
-    sample_count: int
-    max_witness: tuple
-
-    def __post_init__(self):
-        if self.kappa > 0 and not abs(self.radius_R0 * self.kappa - 1.0) < 1e-9:
-            raise ValueError("radius_R0 must equal 1 / kappa")
-
-
 class LevelSetConstraint:
     """Base class; subclasses define phi/grad/hess on batched points (..., 3)."""
 
     inside = "negative_phi"  # which sign of phi is the inside region
-    analytic_kappa = None  # exact turning bound when known
 
     def phi(self, x):
         raise NotImplementedError
@@ -46,15 +31,9 @@ class LevelSetConstraint:
     def hess(self, x):
         raise NotImplementedError
 
-    def band(self):
-        """Half-width of the declared tubular neighborhood of {phi=0}."""
+    def reach(self):
+        """R0: the reach of N, exact or a lower bound; np.inf for a plane."""
         raise NotImplementedError
-
-    def radius_R0(self):
-        k = self.analytic_kappa
-        if k is None:
-            raise ValueError("no analytic turning bound; use estimate_kappa")
-        return np.inf if k == 0 else 1.0 / k
 
     # -- nearest-point projection -------------------------------------------
 
@@ -112,7 +91,7 @@ class LevelSetConstraint:
             p, lam = p_new, lam_new
         else:
             raise ProjectionError("outside tubular neighborhood")
-        if np.any(np.linalg.norm(x - p, axis=1) > self.band() * (1 + 1e-9)):
+        if np.any(np.linalg.norm(x - p, axis=1) > self.reach() * (1 + 1e-9)):
             raise ProjectionError("outside tubular neighborhood")
         return p
 
@@ -202,10 +181,12 @@ class LevelSetConstraint:
 
 
 def estimate_kappa(constraint, center, radius, sample_count=10000, seed=0):
-    """Sampled lower bound for the turning constant kappa of N.
+    """Sampled lower bound for the turning bound kappa = 1/R0 of N, an
+    oracle for the declared reach().
 
     Evaluates 2 |nu(x)(y-x)| / |y-x|^2 over seeded point pairs on N inside
-    ball(center, radius); returns the sup with the maximizing witness pair.
+    ball(center, radius), whose sup over all pairs is 1/R0 (Federer); returns
+    (kappa, witness), the sampled sup and its maximizing pair.
     """
     if sample_count < 100:
         raise ValueError("sample_count must be >= 100")
@@ -227,13 +208,7 @@ def estimate_kappa(constraint, center, radius, sample_count=10000, seed=0):
     if k < 1e-12:
         k = 0.0
     i = int(np.argmax(ratio))
-    witness = (tuple(x[i]), tuple(y[i]))
-    return TurningBound(
-        kappa=k,
-        radius_R0=np.inf if k == 0 else 1.0 / k,
-        sample_count=m,
-        max_witness=witness,
-    )
+    return k, (tuple(x[i]), tuple(y[i]))
 
 
 # -- primitives ---------------------------------------------------------------
@@ -246,8 +221,6 @@ class Plane(LevelSetConstraint):
         self.normal = n / np.linalg.norm(n)
         self.inside = inside
 
-    analytic_kappa = 0.0
-
     def phi(self, x):
         return (np.asarray(x, dtype=float) - self.point) @ self.normal
 
@@ -259,7 +232,7 @@ class Plane(LevelSetConstraint):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (3, 3))
 
-    def band(self):
+    def reach(self):
         return np.inf
 
     def project(self, x):
@@ -276,10 +249,6 @@ class Sphere(LevelSetConstraint):
         self.radius = float(radius)
         self.inside = inside
 
-    @property
-    def analytic_kappa(self):
-        return 1.0 / self.radius
-
     def phi(self, x):
         d = np.asarray(x, dtype=float) - self.center
         return np.einsum("...i,...i->...", d, d) - self.radius**2
@@ -291,7 +260,7 @@ class Sphere(LevelSetConstraint):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(2.0 * np.eye(3), x.shape[:-1] + (3, 3)).copy()
 
-    def band(self):
+    def reach(self):
         return self.radius
 
     def project(self, x):
@@ -325,8 +294,9 @@ class Ellipsoid(LevelSetConstraint):
         H = np.diag(2.0 / self.semi_axes**2)
         return np.broadcast_to(H, x.shape[:-1] + (3, 3)).copy()
 
-    def band(self):
-        # conservative: smallest principal radius of curvature
+    def reach(self):
+        # the smallest principal radius of curvature, at the ends of the
+        # longest axis (Blaschke's rolling theorem for convex surfaces)
         a = self.semi_axes
         return float(a.min() ** 2 / a.max())
 
@@ -372,8 +342,9 @@ class Torus(LevelSetConstraint):
         H[..., 2, 2] = 2.0
         return H
 
-    def band(self):
-        return self.r
+    def reach(self):
+        # the tube radius, or across the hole the distance to the axis
+        return min(self.r, self.R - self.r)
 
     def _project_batch(self, x):
         d = x - self.center
@@ -428,7 +399,8 @@ class Graph(LevelSetConstraint):
         H[..., 0, 1] = H[..., 1, 0] = -c["cxy"]
         return H
 
-    def band(self):
+    def reach(self):
+        # a lower bound from the Hessian entries of h
         curv = 2 * max(abs(self.c["cxx"]), abs(self.c["cyy"]), abs(self.c["cxy"]))
         return np.inf if curv == 0 else 0.5 / curv
 

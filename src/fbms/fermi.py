@@ -31,8 +31,7 @@ class FermiChart:
         object.__setattr__(self, "frame", F)
         if np.abs(F @ F.T - np.eye(3)).max() > 1e-12:
             raise ValueError("frame must be orthonormal")
-        R0 = self.constraint.radius_R0()
-        if np.isfinite(R0) and self.radius >= 0.9 * R0:
+        if self.radius >= 0.9 * self.constraint.reach():
             raise ValueError("chart radius must stay below 0.9 R0")
 
     def from_fermi(self, coords):
@@ -68,7 +67,7 @@ class FermiChart:
         normals = self.constraint.unit_normal(feet)
         along = normals @ n
         rise = (feet - self.base) @ n
-        if np.any(np.abs(rise) >= self.constraint.radius_R0() * np.abs(along)):
+        if np.any(np.abs(rise) >= self.constraint.reach() * np.abs(along)):
             raise ValueError("chart radius exceeds injectivity of projection")
         # the normal oriented as in from_fermi; along is never 0 past the check
         t = np.vecdot(pts - feet, normals) * np.sign(along)

@@ -417,9 +417,12 @@ def second_fundamental_norm(mesh: TriangleMesh):
 
 
 def _conormals(mesh: TriangleMesh) -> np.ndarray:
-    """(n, 3) outward unit conormals, NaN rows off the boundary; see
-    boundary_conormal. Row dot products use np.vecdot, which rounds as the
-    1-D `a @ b` and np.linalg.norm of one row do (BLAS ddot)."""
+    """(n, 3) outward unit conormals, NaN rows off the boundary.
+
+    Averages the in-plane outward edge normals of the incident boundary edges,
+    projects tangent to the surface, and renormalizes. Row dot products use
+    np.vecdot, which rounds as the 1-D `a @ b` and np.linalg.norm of one row
+    do (BLAS ddot)."""
     topo = mesh.topology
     v = mesh.vertices
     be, opp = topo.boundary_edges, topo.boundary_opposite
@@ -449,18 +452,6 @@ def _conormals(mesh: TriangleMesh) -> np.ndarray:
     eta = np.full((mesh.n_vertices, 3), np.nan)
     eta[idx] = m / mn[:, None]
     return eta
-
-
-def boundary_conormal(mesh: TriangleMesh):
-    """Outward unit conormal eta per boundary vertex.
-
-    Averages the in-plane outward edge normals of the incident boundary edges,
-    projects tangent to the surface, and renormalizes. Returns a dict
-    {vertex index: unit vector}.
-    """
-    eta = _conormals(mesh)
-    idx = np.nonzero(~np.isnan(eta[:, 0]))[0]
-    return dict(zip(idx.tolist(), eta[idx]))
 
 
 def total_area(mesh: TriangleMesh) -> float:

@@ -1,9 +1,10 @@
 """Weighted density ratios and the deficit integral for free boundary surfaces.
 
 Theta(r) = exp(Lambda1 r) * mass(B(p, r)) / r^k is nondecreasing in r for a
-free boundary minimal surface whose boundary lies on a constraint with
-turning bound kappa = 1/R0, provided r < R0/2, with gamma = 2/R0 and
-Lambda1 = k(Lambda + 3 gamma). The deficit integral quantifies the increase;
+free boundary minimal surface whose boundary lies on a constraint of reach
+R0 (turning bound kappa = 1/R0), provided r < R0/2, with gamma = 2/R0 and
+Lambda1 = k(Lambda + 3 gamma). The ambient is flat, so Lambda = 0 and
+Lambda1 = 3 k gamma. The deficit integral quantifies the increase;
 it vanishes exactly on cones through the base point. Meshes carry k = 2; a
 polyline realization with k = 1 and exact segment clipping serves as an
 independent oracle for the weighting pipeline.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +34,6 @@ class Polyline:
         if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] not in (2, 3):
             raise ValueError("polyline needs >= 2 vertices in 2 or 3 dims")
         object.__setattr__(self, "vertices", v)
-
-    def total_length(self):
-        return float(np.linalg.norm(np.diff(self.vertices, axis=0), axis=1).sum())
 
 
 @dataclass
@@ -76,9 +73,6 @@ class DensityProfile:
             "constants": {k: float(v) for k, v in self.constants.items()},
             "minimal_verified": bool(self.minimal_verified),
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 class _SortedFaces:
@@ -186,10 +180,10 @@ def _dimension_k(geometry):
     return 1 if isinstance(geometry, Polyline) else 2
 
 
-def _profile(geometry, p, radii, gamma, Lambda, with_deficits=True,
+def _profile(geometry, p, radii, gamma, with_deficits=True,
              minimal_verified=True):
     k = _dimension_k(geometry)
-    Lambda1 = k * (Lambda + 3.0 * gamma)
+    Lambda1 = k * (3.0 * gamma)
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
@@ -207,7 +201,7 @@ def _profile(geometry, p, radii, gamma, Lambda, with_deficits=True,
         masses=masses,
         theta=theta,
         deficits=deficits,
-        constants={"k": k, "Lambda": Lambda, "gamma": gamma, "Lambda1": Lambda1},
+        constants={"k": k, "Lambda": 0.0, "gamma": gamma, "Lambda1": Lambda1},
         minimal_verified=minimal_verified,
     )
 
@@ -216,39 +210,37 @@ def default_radius_grid(r_max, levels=6):
     return [r_max * 2.0 ** (-j) for j in range(levels - 1, -1, -1)]
 
 
-def density_profile(geometry, constraint, p, radii, Lambda=0.0,
-                    kappa=None, check=None) -> DensityProfile:
-    """Weighted density ratio Theta over a radius grid at a base point on N.
+def density_profile(geometry, constraint, p, radii, check=None) -> DensityProfile:
+    """Weighted density ratio Theta over a radius grid at a base point on N,
+    with gamma = 2/R0 from the constraint's reach R0.
 
     A triangle mesh is verified as minimal, unless check, verify_minimal's
     result for this mesh and constraint, is given.
     """
     p = np.asarray(p, dtype=float)
-    if constraint is not None:
-        pp = p if p.shape[0] == 3 else np.array([p[0], p[1], 0.0])
-        scale = 1.0 + float(np.linalg.norm(pp))
-        if abs(float(constraint.phi(pp[None, :])[0])) > 1e-10 * scale:
-            raise ValueError("base point is not on the constraint surface")
-    if kappa is None:
-        if constraint is None or constraint.analytic_kappa is None:
-            raise ValueError("no analytic turning bound; pass kappa explicitly")
-        kappa = constraint.analytic_kappa
-    R0 = np.inf if kappa == 0 else 1.0 / kappa
+    pp = p if p.shape[0] == 3 else np.array([p[0], p[1], 0.0])
+    scale = 1.0 + float(np.linalg.norm(pp))
+    if abs(float(constraint.phi(pp[None, :])[0])) > 1e-10 * scale:
+        raise ValueError("base point is not on the constraint surface")
+    R0 = constraint.reach()
     if max(radii) >= R0 / 2.0:
         raise ValueError("radius exceeds R0/2")
-    gamma = 2.0 / R0 if np.isfinite(R0) else 0.0
+    gamma = 2.0 / R0
     verified = True
-    if isinstance(geometry, TriangleMesh) and constraint is not None:
+    if isinstance(geometry, TriangleMesh):
         if check is None:
             check = verify_minimal(geometry, constraint)
         verified = bool(check["passes"])
-    return _profile(geometry, p, radii, gamma, Lambda, minimal_verified=verified)
+    return _profile(geometry, p, radii, gamma, minimal_verified=verified)
 
 
 def interior_density(geometry, p, radii) -> DensityProfile:
     """Classical density ratio mass / r^k at an interior point (gamma = 0)."""
     p = np.asarray(p, dtype=float)
-    return _profile(geometry, p, radii, gamma=0.0, Lambda=0.0, with_deficits=False)
+    return _profile(geometry, p, radii, gamma=0.0, with_deficits=False)
+
+
+SLACK = 0.02  # check_monotonicity's tolerance, relative to Theta(rho)
 
 
 @dataclass
@@ -256,7 +248,6 @@ class MonotonicityReport:
     passed: bool
     worst_margin: float
     worst_pair: tuple | None
-    slack: float
     minimal_verified: bool
     notes: list = field(default_factory=list)
 
@@ -265,14 +256,14 @@ class MonotonicityReport:
             "passed": bool(self.passed),
             "worst_margin": float(self.worst_margin),
             "worst_pair": list(self.worst_pair) if self.worst_pair else None,
-            "slack": float(self.slack),
+            "slack": SLACK,
             "minimal_verified": bool(self.minimal_verified),
             "notes": list(self.notes),
         }
 
 
-def check_monotonicity(profile: DensityProfile, slack: float = 0.02) -> MonotonicityReport:
-    """Checks Theta(sigma) <= Theta(rho) - deficit + slack * Theta(rho) for
+def check_monotonicity(profile: DensityProfile) -> MonotonicityReport:
+    """Checks Theta(sigma) <= Theta(rho) - deficit + SLACK * Theta(rho) for
     consecutive radius pairs; reports the worst margin."""
     if len(profile.radii) < 2:
         raise ValueError("profile needs at least two radii")
@@ -281,7 +272,7 @@ def check_monotonicity(profile: DensityProfile, slack: float = 0.02) -> Monotoni
     for j in range(len(profile.radii) - 1):
         ts, tr = profile.theta[j], profile.theta[j + 1]
         d = profile.deficits[j] if j < len(profile.deficits) else 0.0
-        margin = tr - d + slack * abs(tr) - ts
+        margin = tr - d + SLACK * abs(tr) - ts
         if margin < worst:
             worst = margin
             worst_pair = (profile.radii[j], profile.radii[j + 1])
@@ -292,7 +283,6 @@ def check_monotonicity(profile: DensityProfile, slack: float = 0.02) -> Monotoni
         passed=bool(worst >= 0),
         worst_margin=float(worst),
         worst_pair=worst_pair,
-        slack=slack,
         minimal_verified=profile.minimal_verified,
         notes=notes,
     )

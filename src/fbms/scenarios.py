@@ -61,8 +61,8 @@ def perturbed_critical_catenoid(nt=64, ntheta=64, amplitude=0.005, mode=3):
     bnd = mesh.is_boundary_vertex()
     zb = float(np.abs(v[bnd][:, 2]).max())
     theta = np.arctan2(v[:, 1], v[:, 0])
-    band = np.exp(-(((np.abs(v[:, 2]) - 0.3 * zb) / (0.15 * zb)) ** 2))
-    f = amplitude * np.cos(mode * theta) * band
+    window = np.exp(-(((np.abs(v[:, 2]) - 0.3 * zb) / (0.15 * zb)) ** 2))
+    f = amplitude * np.cos(mode * theta) * window
     f[bnd] = 0.0
     n = vertex_normals(mesh).values
     return mesh.with_vertices(v + f[:, None] * n)
@@ -213,8 +213,9 @@ def _check_builds(what, build, spec):
 
 
 def _stages_run(config):
-    """The stages run_scenario runs for a config; a polyline takes only the
-    monotonicity stage, and builtin and OBJ meshes are triangle meshes."""
+    """The stages run_scenario runs for a config, in pipeline order; a
+    polyline takes only the monotonicity stage, and builtin and OBJ meshes
+    are triangle meshes."""
     analysis = config.get("analysis", {})
     runs = {
         "solve": config.get("solver") is not None,
@@ -225,7 +226,7 @@ def _stages_run(config):
         "doubling": "doubling" in analysis,
     }
     is_mesh = "polyline" not in config["initial_mesh"]
-    return {s for s, on in runs.items() if on and (is_mesh or s == "monotonicity")}
+    return [s for s, on in runs.items() if on and (is_mesh or s == "monotonicity")]
 
 
 def _validate_expect(expect, stages):
@@ -237,7 +238,7 @@ def _validate_expect(expect, stages):
     stage_pass = expect.get("stage_pass")
     if not isinstance(stage_pass, dict):
         raise ScenarioError("expect.stage_pass must be an object")
-    if set(stage_pass) != stages:
+    if set(stage_pass) != set(stages):
         raise ScenarioError(
             f"expect.stage_pass must name the stages this config runs, "
             f"{sorted(stages)}; got {sorted(stage_pass)}")
@@ -385,11 +386,9 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
-def run_scenario(config: dict, out_dir, seed=None) -> RunManifest:
+def run_scenario(config: dict, out_dir) -> RunManifest:
     """Executes the enabled pipeline stages and writes per-stage reports."""
     config = validate_config(config)
-    if seed is not None:
-        config["seed"] = int(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(

@@ -15,7 +15,6 @@ result to the assembly, which verifies only when called without it.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +30,8 @@ from .mesh import (
     vertex_normals,
 )
 from .variation import verify_minimal
+
+STABILITY_TOL = 1e-8  # stable means lambda_min >= -STABILITY_TOL
 
 
 @dataclass(frozen=True)
@@ -66,20 +67,16 @@ class StabilityReport:
     lambda_min: float
     eigenfunction: VertexField
     stable: bool
-    tol: float
     residual: float
 
     def to_json_dict(self):
         return {
             "lambda_min": self.lambda_min,
             "stable": bool(self.stable),
-            "tol": self.tol,
+            "tol": STABILITY_TOL,
             "residual": self.residual,
             "eigenfunction": [float(v) for v in self.eigenfunction.values],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _boundary_second_form_values(mesh: TriangleMesh, constraint):
@@ -187,14 +184,12 @@ def lowest_eigenpair(form: StabilityForm):
     return lam, VertexField(x, "scalar"), float(res)
 
 
-def is_stable(mesh: TriangleMesh, constraint, tol: float = 1e-8,
-              check=None) -> StabilityReport:
+def is_stable(mesh: TriangleMesh, constraint, check=None) -> StabilityReport:
     form = assemble_stability_form(mesh, constraint, check)
     lam, f, res = lowest_eigenpair(form)
     return StabilityReport(
         lambda_min=lam,
         eigenfunction=f,
-        stable=bool(lam >= -tol),
-        tol=tol,
+        stable=bool(lam >= -STABILITY_TOL),
         residual=res,
     )

@@ -24,26 +24,21 @@ from .mesh import (
 )
 
 ASPECT_RATIO_LIMIT = 50.0
+STEP_INIT = 1.0
+ARMIJO_C = 1e-4
+ORTHO_TOL = 2e-2  # radians; the residual is resolution limited
+ORTHO_CHECK_EVERY = 10  # orthogonality residual cadence, in iterations
+MAX_DISPLACEMENT_FRAC = 0.2  # of the shortest edge, per step
+H_TOL = 5e-2  # verify_minimal's bound on the interior mean curvature
 
 
 @dataclass
 class SolveParams:
     max_iterations: int = 5000
-    step_init: float = 1.0
-    armijo_c: float = 1e-4
-    grad_tol: float | None = None  # default 1e-2 / mesh diameter
-    ortho_tol: float = 2e-2  # radians; the residual is resolution limited
-    reproject_every: int = 1
-    ortho_check_every: int = 10  # orthogonality residual cadence
-    max_displacement_frac: float = 0.2  # of the shortest edge, per step
 
     def __post_init__(self):
-        if not (0 < self.armijo_c < 1):
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if self.max_iterations <= 0 or self.step_init <= 0:
-            raise ValueError("max_iterations and step_init must be positive")
-        if self.reproject_every <= 0:
-            raise ValueError("reproject_every must be positive")
+        if self.max_iterations <= 0:
+            raise ValueError("max_iterations must be positive")
 
 
 @dataclass
@@ -160,9 +155,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
     bad = validate_mesh(initial)
     if bad:
         raise ValueError("invalid initial mesh: " + "; ".join(bad))
-    grad_tol = params.grad_tol
-    if grad_tol is None:
-        grad_tol = 1e-2 / initial.diameter()
+    grad_tol = 1e-2 / initial.diameter()
 
     mesh = initial
     area = total_area(mesh)
@@ -171,7 +164,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
     area_history = [area]
     grad_history = []
     ortho_history = []
-    step = params.step_init
+    step = STEP_INIT
     termination = "max_iterations"
     converged = False
     it = 0
@@ -185,14 +178,14 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         # stationarity on the mean-curvature scale: |grad| over lumped area
         gnorm = float(np.linalg.norm(d, axis=1).max())
         slope = float(np.einsum("ij,ij->", g, d))
-        if it % params.ortho_check_every == 0 or gnorm <= grad_tol:
+        if it % ORTHO_CHECK_EVERY == 0 or gnorm <= grad_tol:
             try:
                 ortho, _ = free_boundary_residual(mesh, constraint)
             except ValueError:
                 ortho = np.inf
         grad_history.append(gnorm)
         ortho_history.append(ortho)
-        if gnorm <= grad_tol and ortho <= params.ortho_tol:
+        if gnorm <= grad_tol and ortho <= ORTHO_TOL:
             converged = True
             termination = "stationary"
             break
@@ -201,24 +194,23 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
             break
 
         # step cap: no vertex moves more than a fraction of the shortest edge
-        t_cap = params.max_displacement_frac * min_edge / max(gnorm, 1e-300)
+        t_cap = MAX_DISPLACEMENT_FRAC * min_edge / max(gnorm, 1e-300)
 
         # Armijo backtracking with halving; growing restart step. The
         # constraint projection is part of the trial step, so sufficient
         # decrease is tested on the actual next iterate.
-        project_now = it % params.reproject_every == 0
         accepted = False
         t = min(step * 2.0, t_cap)
         for _ in range(30):
             vcand = mesh.vertices + t * d
-            if project_now and len(cidx):
+            if len(cidx):
                 vcand[cidx] = constraint.project(vcand[cidx])
             cand = mesh.with_vertices(vcand)
             aspect, cand_area, cand_min_edge = _max_aspect_ratio(cand)
             if aspect > ASPECT_RATIO_LIMIT:
                 t *= 0.5
                 continue
-            if cand_area <= area + params.armijo_c * t * slope:
+            if cand_area <= area + ARMIJO_C * t * slope:
                 accepted = True
                 break
             t *= 0.5
@@ -250,8 +242,9 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
     )
 
 
-def verify_minimal(mesh: TriangleMesh, constraint, h_tol=5e-2, ortho_tol=2e-2):
-    """Certifies Definition of free boundary minimality at the given tolerances."""
+def verify_minimal(mesh: TriangleMesh, constraint):
+    """Certifies free boundary minimality: max interior |H| <= H_TOL and the
+    orthogonality residual <= ORTHO_TOL, the solver's own bound."""
     interior = ~mesh.is_boundary_vertex()
     H = mean_curvature_vector(mesh).values
     max_h = float(np.linalg.norm(H[interior], axis=1).max()) if interior.any() else 0.0
@@ -268,12 +261,12 @@ def verify_minimal(mesh: TriangleMesh, constraint, h_tol=5e-2, ortho_tol=2e-2):
         )
     except ValueError:
         ortho = np.inf
-    passes = max_h <= h_tol and ortho <= ortho_tol
+    passes = max_h <= H_TOL and ortho <= ORTHO_TOL
     return {
         "max_interior_H": max_h,
         "free_boundary_residual": ortho,
         "max_constraint_violation": max_phi,
-        "h_tol": h_tol,
-        "ortho_tol": ortho_tol,
+        "h_tol": H_TOL,
+        "ortho_tol": ORTHO_TOL,
         "passes": bool(passes),
     }

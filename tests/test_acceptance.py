@@ -167,16 +167,17 @@ def test_criterion_5_monotonicity_curved():
     d = disk(1.0, 32, 96)
     radii = [0.05 * 2**j for j in range(4)]
     prof = density_profile(d, SPHERE, np.array([1.0, 0, 0]), radii)
-    rep = check_monotonicity(prof, slack=0.02)
+    rep = check_monotonicity(prof)
     elapsed = time.time() - t0
     ok = rep.passed and elapsed < 30.0
     report(5, ok, f"worst margin {rep.worst_margin:.4f} at pair {rep.worst_pair}, {elapsed:.1f}s")
 
 
 def test_criterion_6_k1_closed_form():
-    """Radial segment: Theta(r) = exp(6r) exactly (k=1, gamma=2)."""
+    """Radial segment ending on the unit sphere: Theta(r) = exp(6r) exactly
+    (k=1, gamma=2/R0=2)."""
     ray = Polyline(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    prof = density_profile(ray, None, np.array([1.0, 0.0]), [0.1, 0.2], kappa=1.0)
+    prof = density_profile(ray, SPHERE, np.array([1.0, 0.0]), [0.1, 0.2])
     errs = [abs(t - np.exp(6 * r)) for r, t in zip(prof.radii, prof.theta)]
     ok = max(errs) <= 1e-6
     report(6, ok, f"|Theta - exp(6r)| = {max(errs):.2e} at r in {{0.1, 0.2}}")
@@ -205,7 +206,7 @@ def test_criterion_7_tangency_correction_bounds():
         col = (SPHERE.zeta(p, x + dp) - SPHERE.zeta(p, x - dp)) / (2 * h)
         worst_d = max(worst_d, float(np.max(np.linalg.norm(col, axis=1) - 2 * gamma * r)))
     deriv_ok = worst_d <= 1e-3  # fd truncation allowance
-    kap = estimate_kappa(SPHERE, p, 0.5, sample_count=2000, seed=1).kappa
+    kap, _ = estimate_kappa(SPHERE, p, 0.5, sample_count=2000, seed=1)
     elapsed = time.time() - t0
     ok = bound_ok and deriv_ok and 0.98 <= kap <= 1.0 and elapsed < 20.0
     report(

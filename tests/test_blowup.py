@@ -1,7 +1,5 @@
 """Rescaling covariance, point picking, doubling, and the curvature survey."""
 
-import json
-
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -13,8 +11,6 @@ from fbms.blowup import (
     point_pick,
     reflect_double,
     rescale,
-    survey_csv,
-    survey_summary_json,
 )
 from fbms.constraints import Plane, Sphere, Torus
 from fbms.mesh import TriangleMesh, total_area
@@ -155,15 +151,6 @@ def test_curvature_survey_area_bound_excludes():
     assert summary["empirical_C1"] == 0.0
 
 
-def test_survey_serialization():
-    rows, summary = curvature_survey(
-        _survey_rows(), (np.array([0.5, 0.5, 0.0]), 1.0)
-    )
-    text = survey_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "scenario,area,stable,lambda_min,sup_norm"
-    assert len(lines) == 4
-    payload = json.loads(survey_summary_json(summary))
-    assert payload["included"] == ["flat", "bumpy"]
+def test_survey_row_rejects_negative_sup_norm():
     with pytest.raises(ValueError):
         SurveyRow("x", 1.0, True, 0.0, -0.1)

@@ -170,6 +170,22 @@ def test_obj_input_reports_match_builtin(tmp_path):
         assert (tmp_path / "obj" / name).read_bytes() == builtin, name
 
 
+def test_unit_ellipsoid_reports_match_sphere(tmp_path):
+    # the unit sphere written as an ellipsoid declares the same reach, so
+    # every stage, monotonicity and Fermi included, writes the same bytes
+    cfg = builtin_scenarios()["disk-in-ball"]
+    ellipsoid = {"type": "ellipsoid", "center": [0, 0, 0], "semi_axes": [1, 1, 1]}
+    sphere = run_scenario(cfg, tmp_path / "sphere")
+    man = run_scenario(dict(cfg, constraint=ellipsoid), tmp_path / "ellipsoid")
+    assert man.all_passed()
+    assert man.stage_pass == sphere.stage_pass
+    assert set(man.outputs) == set(sphere.outputs)
+    assert set(man.outputs) >= {"density.json", "fermi.json", "stability.json"}
+    for name in man.outputs:
+        want = (tmp_path / "sphere" / name).read_bytes()
+        assert (tmp_path / "ellipsoid" / name).read_bytes() == want, name
+
+
 def test_malformed_obj_fails_setup_with_file_line(tmp_path):
     path = tmp_path / "mesh.obj"
     path.write_text("v 0 0 0\nv 1 0 0\n# corrupted\nv 0 1 abc\nf 1 2 3\n")
@@ -210,6 +226,12 @@ def test_cli_list_is_deterministic(capsys):
                           sort_keys=True)
     [line] = [ln for ln in first.splitlines() if ln.startswith("graph-over-disk")]
     assert line.endswith(f"expect: {declared}")
+    # the stages each scenario runs, in pipeline order, verify included
+    stages = {ln.split()[0]: ln.split("stages: ")[1].split()[0]
+              for ln in first.splitlines()}
+    assert stages["disk-in-ball"] == "solve+verify+stability+monotonicity+fermi"
+    assert stages["half-catenoid-double"] == "verify+doubling"
+    assert stages["radial-segment-k1"] == "monotonicity"
 
 
 def test_cli_run_unknown_scenario(tmp_path, capsys):
@@ -257,6 +279,8 @@ _STRIP_RUNS = {"solve": True, "verify": True, "stability": True, "doubling": Tru
 _SEGMENT = builtin_scenarios()["radial-segment-k1"]
 BAD_CONFIGS = {
     "solver-key": dict(_STRIP, solver={"max_iterations": 10, "max_iters": 5}),
+    # max_iterations is the one solver setting; the descent's others are fixed
+    "solver-removed-key": dict(_STRIP, solver={"step_init": 1}),
     "constraint-type": dict(_STRIP, constraint={"type": "cone", "apex": [0, 0, 0]}),
     "constraint-key": dict(_STRIP, constraint={"type": "sphere", "radius": 1.0}),
     "monotonicity-base": dict(_DISK, analysis={
@@ -303,14 +327,13 @@ def test_cli_run_rejects_bad_nested_config(tmp_path, capsys, case):
     assert not out.exists()
 
 
-def test_cli_seed_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FBMS_SEED", "123")
-    assert cli_main(["run", "strip-on-plane", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    manifest = json.loads(
-        (tmp_path / "strip-on-plane" / "manifest.json").read_text()
-    )
-    assert manifest["seed"] == 123
+def test_cli_run_has_no_jobs_option(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "strip-on-plane", "--jobs", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_run_whole_catalog_matches_declared_outcomes(tmp_path, capsys):

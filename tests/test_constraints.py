@@ -1,16 +1,10 @@
-"""Level-set constraint primitives, projection, and turning bound."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Level-set constraint primitives, projection, reach and turning bound."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbms import constraints
 from fbms.constraints import (
     Ellipsoid,
     Graph,
@@ -18,7 +12,6 @@ from fbms.constraints import (
     ProjectionError,
     Sphere,
     Torus,
-    TurningBound,
     constraint_from_spec,
     estimate_kappa,
 )
@@ -77,55 +70,54 @@ def test_torus_projection_fails_on_axis():
 
 
 def test_kappa_plane_is_zero_sphere_is_inverse_radius():
-    tb = estimate_kappa(Plane((0, 0, 0), (0, 0, 1)), (0, 0, 0), 0.5,
-                        sample_count=2000)
-    assert tb.kappa == 0.0
-    assert tb.radius_R0 == np.inf
-    tb = estimate_kappa(Sphere((0, 0, 0), 1.0), (1, 0, 0), 0.5,
-                        sample_count=2000)
-    assert 0.98 <= tb.kappa <= 1.0
-    tb2 = estimate_kappa(Sphere((0, 0, 0), 2.0), (2, 0, 0), 0.5,
-                         sample_count=2000)
-    assert 0.48 <= tb2.kappa <= 0.5
+    kappa, _ = estimate_kappa(Plane((0, 0, 0), (0, 0, 1)), (0, 0, 0), 0.5,
+                              sample_count=2000)
+    assert kappa == 0.0
+    kappa, _ = estimate_kappa(Sphere((0, 0, 0), 1.0), (1, 0, 0), 0.5,
+                              sample_count=2000)
+    assert 0.98 <= kappa <= 1.0
+    kappa, _ = estimate_kappa(Sphere((0, 0, 0), 2.0), (2, 0, 0), 0.5,
+                              sample_count=2000)
+    assert 0.48 <= kappa <= 0.5
 
 
 def test_kappa_torus_dominated_by_tube_curvature():
-    tb = estimate_kappa(Torus((0, 0, 0), 2.0, 0.5), (2.5, 0, 0), 0.4,
-                        sample_count=4000)
-    assert 1.5 <= tb.kappa <= 2.0 + 1e-6
+    kappa, _ = estimate_kappa(Torus((0, 0, 0), 2.0, 0.5), (2.5, 0, 0), 0.4,
+                              sample_count=4000)
+    assert 1.5 <= kappa <= 2.0 + 1e-6
 
 
 def test_kappa_witness_lies_on_surface():
     s = Sphere((0, 0, 0), 1.0)
-    tb = estimate_kappa(s, (1, 0, 0), 0.5, sample_count=500)
-    for w in tb.max_witness:
+    _, witness = estimate_kappa(s, (1, 0, 0), 0.5, sample_count=500)
+    for w in witness:
         assert abs(float(s.phi(np.array(w)[None, :])[0])) < 1e-8
+
+
+# (constraint, sample center on it, sample radius); the thin torus's reach is
+# set across its hole, where points on opposite sides of the axis face
+# each other at distance 2 (R - r)
+REACH_CASES = {
+    "plane": (Plane((0, 0, 0), (0, 0, 1)), (0, 0, 0), 1.0),
+    "sphere": (Sphere((0, 0, 0), 2.0), (2, 0, 0), 1.0),
+    "ellipsoid": (Ellipsoid((0, 0, 0), (1.2, 1.0, 0.8)), (1.2, 0, 0), 0.3),
+    "torus": (Torus((0, 0, 0), 2.0, 0.5), (2.5, 0, 0), 0.45),
+    "torus-across-hole": (Torus((0, 0, 0), 1.0, 0.7), (0.3, 0, 0), 0.8),
+    "graph": (Graph({"cxx": 0.2, "cyy": -0.1, "cxy": 0.05}), (0, 0, 0), 1.0),
+    "graph-flat": (Graph({"c0": 0.1, "cx": 0.3}), (0, 0, 0.1), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", REACH_CASES)
+def test_sampled_turning_bound_respects_declared_reach(case):
+    constraint, center, radius = REACH_CASES[case]
+    kappa, _ = estimate_kappa(constraint, center, radius, sample_count=300)
+    assert kappa <= (1.0 + 1e-9) / constraint.reach()
 
 
 def test_kappa_rejects_tiny_sample():
     with pytest.raises(ValueError):
         estimate_kappa(Sphere((0, 0, 0), 1.0), (1, 0, 0), 0.5, sample_count=10)
-
-
-def test_turning_bound_consistency_checked():
-    with pytest.raises(ValueError, match="1 / kappa"):
-        TurningBound(kappa=2.0, radius_R0=1.0, sample_count=100, max_witness=())
-    TurningBound(kappa=2.0, radius_R0=0.5, sample_count=100, max_witness=())
-
-
-def test_turning_bound_check_survives_optimized_mode():
-    # `python -O` strips assert statements; the check must not be one
-    code = (
-        "from fbms.constraints import TurningBound\n"
-        "try:\n"
-        "    TurningBound(kappa=2.0, radius_R0=1.0, sample_count=100, max_witness=())\n"
-        "except ValueError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
-    )
-    src = str(Path(constraints.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
 def test_normal_second_form_sphere_and_plane():

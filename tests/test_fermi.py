@@ -4,7 +4,7 @@ Neumann residual of the orthogonality condition."""
 import numpy as np
 import pytest
 
-from fbms.constraints import Ellipsoid, Plane, Sphere
+from fbms.constraints import Ellipsoid, Graph, Plane, Sphere, Torus
 from fbms.fermi import FermiChart, GridSpec, build_chart, graph_extract, neumann_residual
 from fbms.mesh import TriangleMesh, vertex_normals
 from fbms.samplers import (
@@ -35,6 +35,13 @@ def test_build_chart_rejects_off_surface_base():
 def test_chart_radius_capped_by_turning_radius():
     with pytest.raises(ValueError, match="0.9 R0"):
         build_chart(BALL, P, 0.95)
+    # every primitive declares its reach R0: 0.5 for this torus, 1.25 for
+    # this graph
+    for constraint, base, r0 in ((Torus((0, 0, 0), 2.0, 0.5), (2.5, 0, 0), 0.45),
+                                 (Graph({"cxx": 0.2}), (0, 0, 0), 1.125)):
+        build_chart(constraint, np.array(base), 0.99 * r0)
+        with pytest.raises(ValueError, match="0.9 R0"):
+            build_chart(constraint, np.array(base), r0)
 
 
 def test_frame_must_be_orthonormal():
@@ -62,16 +69,10 @@ def test_chart_roundtrip_sphere_and_plane():
         assert np.abs(back - coords).max() <= 1e-14
 
 
-class _Ellipsoid(Ellipsoid):
-    # a convex surface's turning bound is its largest principal curvature,
-    # a_max / a_min^2 for these semi-axes (Blaschke's rolling theorem)
-    analytic_kappa = 1.2 / 0.8**2
-
-
 @pytest.mark.parametrize("base", [(0.0, 0.0, 0.8), (1.2, 0.0, 0.0)],
                          ids=["flat-end", "sharp-end"])
 def test_chart_roundtrip_ellipsoid(base):
-    chart = build_chart(_Ellipsoid((0, 0, 0), (1.2, 1.0, 0.8)), np.array(base), 0.4)
+    chart = build_chart(Ellipsoid((0, 0, 0), (1.2, 1.0, 0.8)), np.array(base), 0.4)
     coords = np.random.default_rng(1).uniform(-0.15, 0.15, size=(200, 3))
     back = chart.to_fermi(chart.from_fermi(coords))
     # the ellipsoid's projection is a Newton solve to 1e-12 relative, and

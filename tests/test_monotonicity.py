@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fbms._kernels import deficit_sum_tris, mass_in_ball_tris
-from fbms.constraints import Plane, Sphere
+from fbms.constraints import Ellipsoid, Graph, Plane, Sphere, Torus
 from fbms.monotonicity import (
     Polyline,
     check_monotonicity,
@@ -131,16 +131,30 @@ def test_sphere_profile_monotone_with_weight():
 
 def test_radial_segment_density_exact_exponential():
     # radial segment from the base point: mass(B(0, r)) = r for r <= 1,
-    # k = 1, so Theta(r) = exp(6 r) exactly
+    # k = 1 and the unit sphere through the base point has gamma = 2, so
+    # Theta(r) = exp(6 r) exactly
     line = Polyline(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    N = Plane((0, 0, 0), (1, 0, 0))
+    N = Sphere((-1, 0, 0), 1.0)
     radii = [0.1, 0.2, 0.4]
-    prof = density_profile(line, N, np.array([0.0, 0.0, 0.0]), radii,
-                           kappa=1.0)
+    prof = density_profile(line, N, np.array([0.0, 0.0, 0.0]), radii)
     assert prof.constants["Lambda1"] == 6.0
     for r, t in zip(radii, prof.theta):
         assert abs(t - np.exp(6.0 * r)) < 1e-9
     assert check_monotonicity(prof).passed
+
+
+# gamma = 2 / R0: the ellipsoid's reach is 0.8^2 / 1.2, the torus's its tube
+# radius, and the graph's declared lower bound 0.5 / (2 * 0.2)
+@pytest.mark.parametrize("constraint, base, gamma", [
+    (Ellipsoid((0, 0, 0), (1.2, 1.0, 0.8)), (1.2, 0.0, 0.0), 3.75),
+    (Torus((0, 0, 0), 2.0, 0.5), (2.5, 0.0, 0.0), 4.0),
+    (Graph({"cxx": 0.2}), (0.0, 0.0, 0.0), 1.6),
+], ids=["ellipsoid", "torus", "graph"])
+def test_density_profile_takes_gamma_from_the_reach(constraint, base, gamma):
+    segment = Polyline(np.array([base, np.add(base, (0.0, 0.0, 1.0))]))
+    prof = density_profile(segment, constraint, np.array(base), [0.05, 0.1])
+    assert prof.constants["gamma"] == pytest.approx(gamma, rel=1e-14)
+    assert prof.constants["Lambda"] == 0.0
 
 
 def test_non_minimal_input_is_flagged():
@@ -161,7 +175,7 @@ def test_non_minimal_input_is_flagged():
 def test_profile_serialization_roundtrip():
     m = disk(1.0, 8, 24)
     prof = interior_density(m, np.zeros(3), [0.1, 0.2])
-    payload = json.loads(prof.to_json())
+    payload = json.loads(json.dumps(prof.to_json_dict()))
     assert payload["radii"] == [0.1, 0.2]
     csv_text = prof.to_csv()
     lines = csv_text.strip().split("\n")

@@ -61,7 +61,7 @@ def test_strip_is_stable():
     report = is_stable(STRIP, STRIP_N)
     assert report.stable
     assert report.lambda_min >= -1e-8
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_json_dict()))
     assert payload["stable"] is True
     assert len(payload["eigenfunction"]) == STRIP.n_vertices
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from fbms.blowup import reflect_double
 from fbms.mesh import (
     TriangleMesh,
+    _conormals,
     area_gradient_raw,
-    boundary_conormal,
     refine,
     second_fundamental_norm,
     total_area,
@@ -242,8 +242,8 @@ def test_boundary_conormal_and_weights_equal_edge_loops():
     for mesh in (_perturbed(critical_catenoid(12, 16)), _perturbed(half_disk(1.0, 4, 8), 2),
                  spherical_cap_graph(0.1, 4, 12)):
         want = _boundary_conormal_loop(mesh)
-        got = boundary_conormal(mesh)
-        assert sorted(got) == sorted(want)
+        got = _conormals(mesh)
+        assert np.flatnonzero(~np.isnan(got[:, 0])).tolist() == sorted(want)
         assert all(np.array_equal(got[i], want[i]) for i in want)
         weights = np.zeros(mesh.n_vertices)
         for a, b in mesh.boundary_edges().tolist():

@@ -121,11 +121,7 @@ def test_solver_rejects_invalid_mesh():
 
 def test_solve_params_validation():
     with pytest.raises(ValueError):
-        SolveParams(armijo_c=1.5)
-    with pytest.raises(ValueError):
         SolveParams(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolveParams(reproject_every=0)
 
 
 def test_verify_minimal_accepts_critical_catenoid():
