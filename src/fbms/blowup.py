@@ -54,11 +54,9 @@ def rescale(mesh: TriangleMesh, constraint, mapping: RescaleMap):
         return out, None
     lam, y = mapping.factor, mapping.center
     if isinstance(constraint, Sphere):
-        new = Sphere(lam * (constraint.center - y), lam * constraint.radius,
-                     inside=constraint.inside)
+        new = Sphere(lam * (constraint.center - y), lam * constraint.radius)
     elif isinstance(constraint, Plane):
-        new = Plane(lam * (constraint.point - y), constraint.normal,
-                    inside=constraint.inside)
+        new = Plane(lam * (constraint.point - y), constraint.normal)
     else:
         raise ValueError("unsupported primitive under rescale")
     return out, new
@@ -87,12 +85,9 @@ def point_pick(mesh: TriangleMesh, curvature, center, radius):
     return winner, score, recentering_ok
 
 
-def _reflect_points(points, plane_point, plane_normal):
-    n = np.asarray(plane_normal, dtype=float)
-    n = n / np.linalg.norm(n)
-    q = np.asarray(plane_point, dtype=float)
-    t = (points - q) @ n
-    return points - 2.0 * t[:, None] * n, t
+def _reflect_points(points, plane):
+    t = plane.phi(points)
+    return points - 2.0 * t[:, None] * plane.normal, t
 
 
 def reflect_double(mesh: TriangleMesh, plane) -> TriangleMesh:
@@ -101,21 +96,20 @@ def reflect_double(mesh: TriangleMesh, plane) -> TriangleMesh:
     Constrained boundary vertices must lie on the plane (they become the
     seam and are not duplicated); reflected faces get flipped orientation.
     """
-    plane_point, plane_normal = plane
+    pl = Plane(*plane)
     cidx = np.nonzero(mesh.constrained)[0]
     if len(cidx) == 0:
         raise ValueError("boundary not on plane")
-    _, t = _reflect_points(mesh.vertices[cidx], plane_point, plane_normal)
+    _, t = _reflect_points(mesh.vertices[cidx], pl)
     scale = 1.0 + mesh.diameter()
     if np.abs(t).max() > 1e-8 * scale:
         raise ValueError("boundary not on plane")
-    pl = Plane(plane_point, plane_normal)
     res, _ = free_boundary_residual(mesh, pl, on_tol=1e-7)
     if res > 0.05:
         raise ValueError("residual too large to weld")
 
     n = mesh.n_vertices
-    mirrored, _ = _reflect_points(mesh.vertices, plane_point, plane_normal)
+    mirrored, _ = _reflect_points(mesh.vertices, pl)
     free = ~mesh.constrained  # seam vertices are shared with the original
     new_index = np.arange(n)
     new_index[free] = n + np.arange(np.count_nonzero(free))

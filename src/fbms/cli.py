@@ -83,10 +83,6 @@ def cmd_run(args) -> int:
     return 0 if ok else 1
 
 
-def bundle_path_for(manifest_path: Path) -> Path:
-    return manifest_path.parent / "bundle.tar"
-
-
 def emit_report_bundle(manifest_path) -> Path:
     """Packs the manifest and all stage outputs into a deterministic tar."""
     manifest_path = Path(manifest_path)
@@ -100,7 +96,7 @@ def emit_report_bundle(manifest_path) -> Path:
         raise FileNotFoundError(
             f"stage output missing from {out_dir}: {', '.join(missing)}"
         )
-    target = bundle_path_for(manifest_path)
+    target = out_dir / "bundle.tar"
     with tarfile.open(target, "w", format=tarfile.USTAR_FORMAT) as tar:
         for name in members:
             data = (out_dir / name).read_bytes()

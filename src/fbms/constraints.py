@@ -2,9 +2,7 @@
 
 Each primitive supplies phi, grad phi and Hess phi in closed form, declares
 its reach R0 (the largest distance within which every point has a unique
-nearest point on N; its turning bound is kappa = 1/R0), and says which side
-of {phi = 0} counts as "inside" (used for the sign of the normal second
-fundamental form: the unit ball boundary gives +1). The reach bounds the
+nearest point on N; its turning bound is kappa = 1/R0). The reach bounds the
 nearest-point projection, the Fermi charts and the monotonicity radii.
 """
 
@@ -17,10 +15,20 @@ class ProjectionError(RuntimeError):
     pass
 
 
-class LevelSetConstraint:
-    """Base class; subclasses define phi/grad/hess on batched points (..., 3)."""
+_OUTSIDE = "outside tubular neighborhood"
 
-    inside = "negative_phi"  # which sign of phi is the inside region
+
+def _rows_where(ok, reason, project, x):
+    """`project` (returning feet, why) on the rows where ok; the rest fail."""
+    p = np.full_like(x, np.nan)
+    why = np.full(len(x), reason, dtype=object)
+    p[ok], why[ok] = project(x[ok])
+    return p, why
+
+
+class LevelSetConstraint:
+    """Base class; subclasses define phi/grad/hess on batched points (..., 3).
+    The region {phi < 0} is the side of N the surface lies on."""
 
     def phi(self, x):
         raise NotImplementedError
@@ -38,68 +46,88 @@ class LevelSetConstraint:
     # -- nearest-point projection -------------------------------------------
 
     def project(self, x):
-        """Nearest point xi(x) on N; damped Newton on the Lagrange system."""
+        """Nearest point xi(x) on N, of a point or of each row of (n, 3)."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self._project_batch(x[None, :])[0]
-        return self._project_batch(x)
+        p, why = self._project_rows(x.reshape(-1, 3))
+        failed = why[why != ""]
+        if failed.size:
+            raise ProjectionError(failed[0])
+        return p.reshape(x.shape)
 
-    def _project_batch(self, x):
-        scale = 1.0 + np.linalg.norm(x, axis=1)
-        tol = 1e-12 * scale
+    def _project_rows(self, x):
+        """Feet of the rows of x (n, 3) and why each row failed ("" where it
+        projected); a failed row's foot is NaN and the other rows go on."""
         g = self.grad(x)
-        g2 = np.einsum("ij,ij->i", g, g)
-        if np.any(g2 < 1e-24):
-            raise ProjectionError("gradient vanishes near query point")
-        p = x - (self.phi(x) / g2)[:, None] * g
+        return _rows_where(np.einsum("ij,ij->i", g, g) >= 1e-24,
+                           "gradient vanishes near query point", self._newton, x)
+
+    def _lagrange(self, p, lam, x):
+        """Residual rows of the Lagrange system p + lam grad phi(p) = x,
+        phi(p) = 0, and grad phi(p)."""
+        gp = self.grad(p)
+        F = np.concatenate([p + lam[:, None] * gp - x, self.phi(p)[:, None]], axis=1)
+        return F, gp
+
+    def _newton(self, x):
+        """Damped Newton on the Lagrange system, row by row in one batch. A
+        row leaves the batch one step after it meets the tolerance (the
+        quadratic step takes it to roundoff), and fails where its Newton
+        matrix is singular, it has not converged after 50 steps, or its foot
+        lies beyond the reach."""
+        feet = np.full_like(x, np.nan)
+        why = np.full(len(x), "", dtype=object)
+        tol = 1e-12 * (1.0 + np.linalg.norm(x, axis=1))
+        met = np.zeros(len(x), dtype=bool)  # met the tolerance last step
+        rows = np.arange(len(x))  # the rows still iterating
+        g = self.grad(x)
+        p = x - (self.phi(x) / np.einsum("ij,ij->i", g, g))[:, None] * g
         gp = self.grad(p)
         lam = np.einsum("ij,ij->i", x - p, gp) / np.einsum("ij,ij->i", gp, gp)
 
-        for _ in range(50):
-            gp = self.grad(p)
-            Hp = self.hess(p)
-            F = np.concatenate(
-                [p + lam[:, None] * gp - x, self.phi(p)[:, None]], axis=1
-            )
+        for it in range(51):
+            F, gp = self._lagrange(p, lam, x[rows])
             res = np.linalg.norm(F, axis=1)
-            if np.all(res <= tol):
+            done = res <= tol[rows]
+            if it == 50 or done.all():
+                feet[rows[done]] = p[done]
+                rows = rows[~done]
                 break
+            leave = done & met[rows]
+            met[rows] = done
+            feet[rows[leave]] = p[leave]
+            rows, p, lam, gp, F, res = (a[~leave] for a in (rows, p, lam, gp, F, res))
             J = np.zeros((len(p), 4, 4))
-            J[:, :3, :3] = np.eye(3) + lam[:, None, None] * Hp
+            J[:, :3, :3] = np.eye(3) + lam[:, None, None] * self.hess(p)
             J[:, :3, 3] = gp
             J[:, 3, :3] = gp
             try:
                 step = np.linalg.solve(J, F[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
-                raise ProjectionError("outside tubular neighborhood")
+                # LAPACK's exact zero pivot is a zero determinant
+                keep = np.linalg.det(J) != 0
+                why[rows[~keep]] = _OUTSIDE
+                rows, p, lam, F, res, J = (a[keep] for a in (rows, p, lam, F, res, J))
+                step = np.linalg.solve(J, F[:, :, None])[:, :, 0]
             # damped update: halve any step that does not reduce the residual
             t = np.ones(len(p))
             for _ in range(20):
                 p_new = p - t[:, None] * step[:, :3]
                 lam_new = lam - t * step[:, 3]
-                F_new = np.concatenate(
-                    [
-                        p_new + lam_new[:, None] * self.grad(p_new) - x,
-                        self.phi(p_new)[:, None],
-                    ],
-                    axis=1,
-                )
+                F_new, _ = self._lagrange(p_new, lam_new, x[rows])
                 worse = np.linalg.norm(F_new, axis=1) > res
-                if not np.any(worse & (res > tol)):
+                if not np.any(worse & (res > tol[rows])):
                     break
                 t[worse] *= 0.5
             p, lam = p_new, lam_new
-        else:
-            raise ProjectionError("outside tubular neighborhood")
-        if np.any(np.linalg.norm(x - p, axis=1) > self.reach() * (1 + 1e-9)):
-            raise ProjectionError("outside tubular neighborhood")
-        return p
+        why[rows] = _OUTSIDE
+        why[np.linalg.norm(x - feet, axis=1) > self.reach() * (1 + 1e-9)] = _OUTSIDE
+        feet[why != ""] = np.nan
+        return feet, why
 
     def distance(self, x):
         """rho(x) = |x - xi(x)| >= 0."""
         x = np.asarray(x, dtype=float)
-        xi = self.project(x)
-        return np.linalg.norm(x - xi, axis=-1)
+        return np.linalg.norm(x - self.project(x), axis=-1)
 
     # -- pointwise geometry --------------------------------------------------
 
@@ -117,18 +145,13 @@ class LevelSetConstraint:
             raise ValueError("point is not on the constraint surface")
         n = self.unit_normal(p)
         nu = np.outer(n, n)
-        tau = np.eye(3) - nu
-        return tau, nu
+        return np.eye(3) - nu, nu
 
     def zeta(self, base, x):
         """zeta_base(x) = -nu(xi(x)) (xi(x) - base); batched in x."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        xi = self.project(x if not single else x[None, :])
+        xi = self.project(x)
         n = self.unit_normal(xi)
-        d = xi - np.asarray(base, dtype=float)
-        z = -np.einsum("ij,ij->i", n, d)[:, None] * n
-        return z[0] if single else z
+        return -np.vecdot(n, xi - np.asarray(base, dtype=float))[..., None] * n
 
     def normal_second_form(self, p, v):
         """A^N(v, v) for unit tangent v at p on N, or for each row of (n, 3)
@@ -144,8 +167,7 @@ class LevelSetConstraint:
         tang = v - (np.vecdot(v, g) / gn**2)[:, None] * g
         if np.any(np.linalg.norm(tang - v, axis=1) > 1e-8):
             raise ValueError("direction is not tangent to the constraint")
-        sign = 1.0 if self.inside == "negative_phi" else -1.0
-        vals = sign * np.einsum("ni,nij,nj->n", v, self.hess(p), v) / gn
+        vals = np.einsum("ni,nij,nj->n", v, self.hess(p), v) / gn
         return float(vals[0]) if single else vals
 
     # -- sampling ------------------------------------------------------------
@@ -161,20 +183,10 @@ class LevelSetConstraint:
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             r = radius * rng.random(size=(4 * count, 1)) ** (1.0 / 3.0)
             pts = center + u * r
-            try:
-                proj = self._project_batch(pts)
-            except ProjectionError:
-                good = []
-                for q in pts:
-                    try:
-                        proj_q = self.project(q)
-                    except ProjectionError:
-                        continue
-                    good.append(proj_q)
-                proj = np.array(good).reshape(-1, 3)
-            if len(proj):
-                keep = np.linalg.norm(proj - center, axis=1) <= radius
-                out.extend(proj[keep])
+            proj, why = self._project_rows(pts)
+            proj = proj[why == ""]
+            keep = np.linalg.norm(proj - center, axis=1) <= radius
+            out.extend(proj[keep])
         if not out:
             raise ValueError("no surface samples in region")
         return np.array(out[:count])
@@ -205,21 +217,35 @@ def estimate_kappa(constraint, center, radius, sample_count=10000, seed=0):
     # sampling error dominates far above float noise; rounding keeps exact
     # constants (plane 0, sphere 1/R) from drifting by roundoff
     k = float(np.round(ratio.max(initial=0.0), 9))
-    if k < 1e-12:
-        k = 0.0
     i = int(np.argmax(ratio))
     return k, (tuple(x[i]), tuple(y[i]))
 
 
 # -- primitives ---------------------------------------------------------------
+# Each constructor rejects a degenerate surface with ValueError.
+
+
+def _vector(name, value):
+    v = np.asarray(value, dtype=float)
+    if v.shape != (3,) or not np.isfinite(v).all():
+        raise ValueError(f"{name} must be a finite 3-vector")
+    return v
+
+
+def _length(name, value):
+    x = float(value)
+    if not 0.0 < x < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return x
 
 
 class Plane(LevelSetConstraint):
-    def __init__(self, point, normal, inside="negative_phi"):
-        self.point = np.asarray(point, dtype=float)
-        n = np.asarray(normal, dtype=float)
+    def __init__(self, point, normal):
+        self.point = _vector("point", point)
+        n = _vector("normal", normal)
+        if not n.any():
+            raise ValueError("normal must be nonzero")
         self.normal = n / np.linalg.norm(n)
-        self.inside = inside
 
     def phi(self, x):
         return (np.asarray(x, dtype=float) - self.point) @ self.normal
@@ -239,15 +265,14 @@ class Plane(LevelSetConstraint):
         x = np.asarray(x, dtype=float)
         return x - np.multiply.outer(self.phi(x), self.normal)
 
-    def _project_batch(self, x):
-        return self.project(x)
+    def _project_rows(self, x):
+        return self.project(x), np.full(len(x), "", dtype=object)
 
 
 class Sphere(LevelSetConstraint):
-    def __init__(self, center, radius, inside="negative_phi"):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        self.inside = inside
+    def __init__(self, center, radius):
+        self.center = _vector("center", center)
+        self.radius = _length("radius", radius)
 
     def phi(self, x):
         d = np.asarray(x, dtype=float) - self.center
@@ -268,18 +293,22 @@ class Sphere(LevelSetConstraint):
         d = x - self.center
         r = np.linalg.norm(d, axis=-1, keepdims=True)
         if np.any(r < 1e-12 * self.radius):
-            raise ProjectionError("outside tubular neighborhood")
+            raise ProjectionError(_OUTSIDE)
         return self.center + self.radius * d / r
 
-    def _project_batch(self, x):
-        return self.project(x)
+    def _project_rows(self, x):
+        # the centre is equally near every point of the sphere
+        off_center = np.linalg.norm(x - self.center, axis=1) >= 1e-12 * self.radius
+        return _rows_where(off_center, _OUTSIDE,
+                           lambda y: (self.project(y), ""), x)
 
 
 class Ellipsoid(LevelSetConstraint):
-    def __init__(self, center, semi_axes, inside="negative_phi"):
-        self.center = np.asarray(center, dtype=float)
-        self.semi_axes = np.asarray(semi_axes, dtype=float)
-        self.inside = inside
+    def __init__(self, center, semi_axes):
+        self.center = _vector("center", center)
+        self.semi_axes = _vector("semi_axes", semi_axes)
+        if not (self.semi_axes > 0).all():
+            raise ValueError("semi_axes must be positive")
 
     def phi(self, x):
         d = (np.asarray(x, dtype=float) - self.center) / self.semi_axes
@@ -304,11 +333,13 @@ class Ellipsoid(LevelSetConstraint):
 class Torus(LevelSetConstraint):
     """Torus about the z-axis through `center`."""
 
-    def __init__(self, center, major_radius, minor_radius, inside="negative_phi"):
-        self.center = np.asarray(center, dtype=float)
-        self.R = float(major_radius)
-        self.r = float(minor_radius)
-        self.inside = inside
+    def __init__(self, center, major_radius, minor_radius):
+        self.center = _vector("center", center)
+        self.R = _length("major_radius", major_radius)
+        self.r = _length("minor_radius", minor_radius)
+        if self.r >= self.R:
+            raise ValueError("minor_radius must be below major_radius "
+                             "(the torus would cross itself)")
 
     def phi(self, x):
         d = np.asarray(x, dtype=float) - self.center
@@ -321,8 +352,7 @@ class Torus(LevelSetConstraint):
         s = np.maximum(s, 1e-300)
         g = np.empty_like(d)
         f = 2.0 * (s - self.R) / s
-        g[..., 0] = f * d[..., 0]
-        g[..., 1] = f * d[..., 1]
+        g[..., :2] = f[..., None] * d[..., :2]
         g[..., 2] = 2.0 * d[..., 2]
         return g
 
@@ -334,11 +364,8 @@ class Torus(LevelSetConstraint):
         # d/dxj of 2 (s - R) xi / s
         f = 2.0 * (1.0 - self.R / s)
         fp = 2.0 * self.R / s**3  # derivative factor of f wrt s, divided by s
-        for i in range(2):
-            for j in range(2):
-                H[..., i, j] = fp * d[..., i] * d[..., j]
-                if i == j:
-                    H[..., i, j] += f
+        H[..., :2, :2] = (fp[..., None, None] * d[..., :2, None] * d[..., None, :2]
+                          + f[..., None, None] * np.eye(2))
         H[..., 2, 2] = 2.0
         return H
 
@@ -346,40 +373,36 @@ class Torus(LevelSetConstraint):
         # the tube radius, or across the hole the distance to the axis
         return min(self.r, self.R - self.r)
 
-    def _project_batch(self, x):
+    def _project_rows(self, x):
         d = x - self.center
         s = np.hypot(d[:, 0], d[:, 1])
         # every point of the core circle is equally near an axis point, so
         # the nearest-point map is undefined there (and Hess phi is singular)
-        if np.any(s <= 1e-12 * (1.0 + np.linalg.norm(d, axis=1))):
-            raise ProjectionError("query point on the torus axis")
-        return super()._project_batch(x)
+        off_axis = s > 1e-12 * (1.0 + np.linalg.norm(d, axis=1))
+        return _rows_where(off_axis, "query point on the torus axis",
+                           super()._project_rows, x)
 
 
 class Graph(LevelSetConstraint):
     """N = {z = h(x, y)} for a quadratic height function h."""
 
-    def __init__(self, coefficients, inside="negative_phi"):
-        # h = c0 + cx x + cy y + cxx x^2 + cxy x y + cyy y^2
-        self.c = {k: float(v) for k, v in coefficients.items()}
-        for k in ("c0", "cx", "cy", "cxx", "cxy", "cyy"):
-            self.c.setdefault(k, 0.0)
-        self.inside = inside
+    TERMS = ("c0", "cx", "cy", "cxx", "cxy", "cyy")
 
-    def _h(self, x, y):
-        c = self.c
-        return (
-            c["c0"]
-            + c["cx"] * x
-            + c["cy"] * y
-            + c["cxx"] * x**2
-            + c["cxy"] * x * y
-            + c["cyy"] * y**2
-        )
+    def __init__(self, coefficients):
+        # h = c0 + cx x + cy y + cxx x^2 + cxy x y + cyy y^2
+        c = dict(coefficients)
+        unknown = set(c) - set(self.TERMS)
+        if unknown:
+            raise ValueError(f"unknown graph coefficients {sorted(unknown)}")
+        self.c = {k: float(c.get(k, 0.0)) for k in self.TERMS}
+        if not np.isfinite(list(self.c.values())).all():
+            raise ValueError("graph coefficients must be finite")
 
     def phi(self, q):
         q = np.asarray(q, dtype=float)
-        return q[..., 2] - self._h(q[..., 0], q[..., 1])
+        c, x, y = self.c, q[..., 0], q[..., 1]
+        return q[..., 2] - (c["c0"] + c["cx"] * x + c["cy"] * y + c["cxx"] * x**2
+                            + c["cxy"] * x * y + c["cyy"] * y**2)
 
     def grad(self, q):
         q = np.asarray(q, dtype=float)
@@ -400,23 +423,22 @@ class Graph(LevelSetConstraint):
         return H
 
     def reach(self):
-        # a lower bound from the Hessian entries of h
-        curv = 2 * max(abs(self.c["cxx"]), abs(self.c["cyy"]), abs(self.c["cxy"]))
-        return np.inf if curv == 0 else 0.5 / curv
+        # no principal curvature exceeds the spectral norm of Hess h, and
+        # the largest one reaches it where grad h = 0
+        c = self.c
+        curv = np.linalg.norm([[2 * c["cxx"], c["cxy"]], [c["cxy"], 2 * c["cyy"]]], 2)
+        return np.inf if curv == 0 else float(1.0 / curv)
+
+
+_PRIMITIVES = {"plane": Plane, "sphere": Sphere, "ellipsoid": Ellipsoid,
+               "torus": Torus, "graph": Graph}
 
 
 def constraint_from_spec(spec: dict) -> LevelSetConstraint:
-    """Builds a constraint from its scenario JSON record."""
-    kind = spec["type"]
-    inside = spec.get("inside", "negative_phi")
-    if kind == "plane":
-        return Plane(spec["point"], spec["normal"], inside)
-    if kind == "sphere":
-        return Sphere(spec["center"], spec["radius"], inside)
-    if kind == "ellipsoid":
-        return Ellipsoid(spec["center"], spec["semi_axes"], inside)
-    if kind == "torus":
-        return Torus(spec["center"], spec["major_radius"], spec["minor_radius"], inside)
-    if kind == "graph":
-        return Graph(spec["coefficients"], inside)
-    raise ValueError(f"unknown constraint type {kind!r}")
+    """Builds a constraint from its scenario JSON record: `type` names the
+    primitive and every other key is an argument of its constructor."""
+    args = dict(spec)
+    kind = args.pop("type")
+    if kind not in _PRIMITIVES:
+        raise ValueError(f"unknown constraint type {kind!r}")
+    return _PRIMITIVES[kind](**args)

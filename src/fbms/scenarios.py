@@ -2,20 +2,20 @@
 
 A scenario bundles an initial geometry, a constraint, solver parameters, and
 analysis toggles into a versioned JSON config. The pipeline runs the enabled
-stages in fixed order (solve, verify, stability, monotonicity, fermi,
-doubling) and writes one deterministic report file per stage. An optional
-`expect` block declares the outcome a scenario is designed to have; without
-one, every stage must pass.
+stages in the order of the stage table `_STAGES` and writes deterministic
+report files per stage. An optional `expect` block declares the outcome a
+scenario is designed to have; without one, every stage must pass.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
 import json
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -193,13 +193,6 @@ _TOP_KEYS = {
     "schema_version", "name", "description", "initial_mesh", "constraint",
     "solver", "analysis", "expect", "seed",
 }
-_ANALYSIS_KEYS = {"stability", "monotonicity", "fermi", "doubling"}
-# keys each analysis block must carry: its stage reads them without a default
-_ANALYSIS_REQUIRED = {
-    "monotonicity": ("base_point", "radii"),
-    "fermi": ("base_point",),
-    "doubling": ("plane_point", "plane_normal"),
-}
 
 
 def _check_builds(what, build, spec):
@@ -212,21 +205,41 @@ def _check_builds(what, build, spec):
         raise ScenarioError(f"invalid {what}: {exc}") from None
 
 
+def _blocks(config):
+    """Each stage's config block; a stage whose block is absent, null or
+    false does not run."""
+    return {"solve": config.get("solver"), "verify": True,
+            **config.get("analysis", {})}
+
+
 def _stages_run(config):
     """The stages run_scenario runs for a config, in pipeline order; a
     polyline takes only the monotonicity stage, and builtin and OBJ meshes
     are triangle meshes."""
-    analysis = config.get("analysis", {})
-    runs = {
-        "solve": config.get("solver") is not None,
-        "verify": True,
-        "stability": bool(analysis.get("stability")),
-        "monotonicity": "monotonicity" in analysis,
-        "fermi": "fermi" in analysis,
-        "doubling": "doubling" in analysis,
-    }
+    blocks = _blocks(config)
     is_mesh = "polyline" not in config["initial_mesh"]
-    return [s for s, on in runs.items() if on and (is_mesh or s == "monotonicity")]
+    return [name for name, _, _ in _STAGES
+            if blocks.get(name) not in (None, False)
+            and (is_mesh or name == "monotonicity")]
+
+
+def _validate_analysis(analysis):
+    if not isinstance(analysis, dict):
+        raise ScenarioError("analysis must be an object")
+    allowed = {name: keys for name, keys, _ in _STAGES if keys is not None}
+    bad = set(analysis) - set(allowed)
+    if bad:
+        raise ScenarioError(f"unknown analysis keys: {sorted(bad)}")
+    for name, block in analysis.items():
+        if allowed[name] is bool:
+            if not isinstance(block, bool):
+                raise ScenarioError(f"analysis.{name} must be true or false")
+            continue
+        required, optional = allowed[name]
+        if not (isinstance(block, dict)
+                and set(required) <= set(block) <= set(required + optional)):
+            raise ScenarioError(f"analysis.{name} must be an object with keys "
+                                f"{list(required)} and optionally {list(optional)}")
 
 
 def _validate_expect(expect, stages):
@@ -278,24 +291,16 @@ def validate_config(config: dict) -> dict:
     extra = set(mesh_spec) - {"builtin", "obj", "polyline", "params"}
     if extra:
         raise ScenarioError(f"unknown initial_mesh keys: {sorted(extra)}")
-    if "builtin" in mesh_spec and mesh_spec["builtin"] not in _BUILTIN_SAMPLERS:
-        raise ScenarioError(f"unknown builtin sampler {mesh_spec['builtin']!r}")
+    if "builtin" in mesh_spec:
+        sampler = _BUILTIN_SAMPLERS.get(mesh_spec["builtin"])
+        if sampler is None:
+            raise ScenarioError(f"unknown builtin sampler {mesh_spec['builtin']!r}")
+        _check_builds("initial_mesh.params",
+                      lambda params: inspect.signature(sampler).bind(**params),
+                      mesh_spec.get("params", {}))
     if "obj" in mesh_spec and not Path(mesh_spec["obj"]).exists():
         raise ScenarioError(f"mesh file not found: {mesh_spec['obj']}")
-    analysis = config.get("analysis", {})
-    if not isinstance(analysis, dict):
-        raise ScenarioError("analysis must be an object")
-    bad = set(analysis) - _ANALYSIS_KEYS
-    if bad:
-        raise ScenarioError(f"unknown analysis keys: {sorted(bad)}")
-    for key, required in _ANALYSIS_REQUIRED.items():
-        if key not in analysis:
-            continue
-        if not isinstance(analysis[key], dict):
-            raise ScenarioError(f"analysis.{key} must be an object")
-        missing = [r for r in required if r not in analysis[key]]
-        if missing:
-            raise ScenarioError(f"analysis.{key} is missing {missing}")
+    _validate_analysis(config.get("analysis", {}))
     _check_builds("constraint", constraint_from_spec, config["constraint"])
     if config.get("solver") is not None:
         _check_builds("solver", lambda spec: SolveParams(**spec), config["solver"])
@@ -377,13 +382,103 @@ class RunManifest:
         return d
 
 
-def _write(path: Path, text: str) -> str:
-    path.write_text(text)
-    return hashlib.sha256(text.encode()).hexdigest()
+def _write(path: Path, output) -> str:
+    """Writes a stage output (a mesh as OBJ, a dict as sorted-key JSON, text
+    as it is) and returns the sha256 of the bytes written."""
+    if isinstance(output, dict):
+        output = json.dumps(output, sort_keys=True, indent=1) + "\n"
+    if isinstance(output, str):
+        path.write_text(output)
+    else:
+        write_obj(output, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+# -- stages ---------------------------------------------------------------------
+# A stage takes (geometry, constraint, the verify stage's result or None, its
+# config block) and returns (passed, {output file: mesh | dict | text}). It
+# calls the library through this module's names, looked up when it runs, so
+# a wrapper installed on fbms.scenarios sees every call.
+
+
+def _solve(geometry, constraint, check, block):
+    report = solve_minimal(geometry, constraint, SolveParams(**block))
+    return report.converged, {"solve.json": report.summary_dict(),
+                              "final_mesh.obj": report.final_mesh}
+
+
+def _verify(geometry, constraint, check, block):
+    check = verify_minimal(geometry, constraint)
+    return check["passes"], {"verify.json": check}
+
+
+def _stability(geometry, constraint, check, block):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = is_stable(geometry, constraint, check=check)
+    stability = report.to_json_dict()
+    stability["warnings"] = [str(w.message) for w in caught]
+    # the stage passes when the residual measured on the returned pair is
+    # small; stability itself is a finding, not a failure
+    return report.residual <= 1e-8, {"stability.json": stability}
+
+
+def _monotonicity(geometry, constraint, check, block):
+    profile = density_profile(geometry, constraint, block["base_point"],
+                              block["radii"], check=check)
+    mono = check_monotonicity(profile)
+    return mono.passed, {
+        "density.csv": profile.to_csv(),
+        "density.json": {"profile": profile.to_json_dict(),
+                         "check": mono.to_json_dict()},
+    }
+
+
+def _fermi(geometry, constraint, check, block):
+    p = np.asarray(block["base_point"], dtype=float)
+    chart = build_chart(constraint, p, block.get("r0", 0.4))
+    n, e1, e2 = chart.frame
+    # graph half-plane: the chart's inward t-axis first, then the boundary
+    # tangent; u then measures deviation from orthogonality
+    nearest = int(np.argmin(np.linalg.norm(geometry.vertices - p, axis=1)))
+    nu = vertex_normals(geometry).values[nearest]
+    bt = np.cross(nu, n)
+    bt /= np.linalg.norm(bt)
+    w1 = np.array([-1.0, 0.0, 0.0])
+    w2 = np.array([0.0, bt @ e1, bt @ e2])
+    sample = graph_extract(chart, geometry, (w1, w2), GridSpec.default(chart.radius))
+    res = neumann_residual(sample)
+    return res <= 0.05, {
+        "fermi.csv": sample.to_csv(),
+        "fermi.json": {"neumann_residual": res, "sheet_count": sample.sheet_count},
+    }
+
+
+def _doubling(geometry, constraint, check, block):
+    doubled = reflect_double(geometry, (block["plane_point"], block["plane_normal"]))
+    H = mean_curvature_vector(doubled).values
+    interior = ~doubled.is_boundary_vertex()
+    max_h = float(np.linalg.norm(H[interior], axis=1).max()) if interior.any() else 0.0
+    return max_h <= 0.1, {
+        "doubled.obj": doubled,
+        "doubling.json": {"n_vertices": doubled.n_vertices,
+                          "n_faces": len(doubled.faces),
+                          "max_interior_H": max_h},
+    }
+
+
+# The pipeline in run order: (stage, its analysis block, stage function). The
+# block is None for a stage with no analysis block (solve reads `solver`,
+# verify always runs), bool for a true/false flag, and otherwise the keys
+# the block must carry and the keys it may carry.
+_STAGES = (
+    ("solve", None, _solve),
+    ("verify", None, _verify),
+    ("stability", bool, _stability),
+    ("monotonicity", (("base_point", "radii"), ()), _monotonicity),
+    ("fermi", (("base_point",), ("r0",)), _fermi),
+    ("doubling", (("plane_point", "plane_normal"), ()), _doubling),
+)
 
 
 def run_scenario(config: dict, out_dir) -> RunManifest:
@@ -406,133 +501,24 @@ def run_scenario(config: dict, out_dir) -> RunManifest:
     try:
         geometry = _build_geometry(config["initial_mesh"])
         constraint = constraint_from_spec(config["constraint"])
-        analysis = config["analysis"]
-        stages = _stages_run(config)
-
-        if "solve" in stages:
-            stage = "solve"
+        blocks = _blocks(config)
+        runs = {name: run for name, _, run in _STAGES}
+        for stage in _stages_run(config):
             t0 = time.perf_counter()
-            params = SolveParams(**config["solver"])
-            report = solve_minimal(geometry, constraint, params)
-            geometry = report.final_mesh
+            passed, outputs = runs[stage](geometry, constraint, check, blocks[stage])
             manifest.stage_seconds[stage] = time.perf_counter() - t0
-            manifest.outputs["solve.json"] = _write(
-                out / "solve.json", _json_dump(report.summary_dict())
-            )
-            manifest.stage_pass[stage] = bool(report.converged)
-            manifest.solve_termination = report.termination
-            write_obj(geometry, out / "final_mesh.obj")
-            manifest.outputs["final_mesh.obj"] = hashlib.sha256(
-                (out / "final_mesh.obj").read_bytes()
-            ).hexdigest()
-
-        if "verify" in stages:
-            stage = "verify"
-            t0 = time.perf_counter()
-            check = verify_minimal(geometry, constraint)
-            manifest.stage_seconds[stage] = time.perf_counter() - t0
-            manifest.outputs["verify.json"] = _write(
-                out / "verify.json", _json_dump(check)
-            )
-            manifest.stage_pass[stage] = bool(check["passes"])
-
-        if "stability" in stages:
-            stage = "stability"
-            t0 = time.perf_counter()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                report = is_stable(geometry, constraint, check=check)
-            manifest.stage_seconds[stage] = time.perf_counter() - t0
-            stability = report.to_json_dict()
-            stability["warnings"] = [str(w.message) for w in caught]
-            manifest.outputs["stability.json"] = _write(
-                out / "stability.json", _json_dump(stability)
-            )
-            # the stage passes when the residual measured on the returned pair
-            # is small; stability itself is a finding, not a failure
-            manifest.stage_pass[stage] = bool(report.residual <= 1e-8)
-
-        if "monotonicity" in stages:
-            stage = "monotonicity"
-            t0 = time.perf_counter()
-            spec = analysis["monotonicity"]
-            profile = density_profile(
-                geometry, constraint, np.asarray(spec["base_point"], dtype=float),
-                spec["radii"], check=check,
-            )
-            mono = check_monotonicity(profile)
-            manifest.stage_seconds[stage] = time.perf_counter() - t0
-            manifest.outputs["density.csv"] = _write(
-                out / "density.csv", profile.to_csv()
-            )
-            manifest.outputs["density.json"] = _write(
-                out / "density.json", _json_dump(
-                    {"profile": profile.to_json_dict(),
-                     "check": mono.to_json_dict()}
-                )
-            )
-            manifest.stage_pass[stage] = bool(mono.passed)
-
-        if "fermi" in stages:
-            stage = "fermi"
-            t0 = time.perf_counter()
-            spec = analysis["fermi"]
-            p = np.asarray(spec["base_point"], dtype=float)
-            chart = build_chart(constraint, p, spec.get("r0", 0.4))
-            n, e1, e2 = chart.frame
-            # graph half-plane: the chart's inward t-axis first, then the
-            # boundary tangent; u then measures deviation from orthogonality
-            nearest = int(np.argmin(np.linalg.norm(geometry.vertices - p, axis=1)))
-            nu = vertex_normals(geometry).values[nearest]
-            bt = np.cross(nu, n)
-            bt /= np.linalg.norm(bt)
-            w1 = np.array([-1.0, 0.0, 0.0])
-            w2 = np.array([0.0, bt @ e1, bt @ e2])
-            gs = GridSpec.default(chart.radius)
-            sample = graph_extract(chart, geometry, (w1, w2), gs)
-            res = neumann_residual(sample)
-            manifest.stage_seconds[stage] = time.perf_counter() - t0
-            manifest.outputs["fermi.csv"] = _write(out / "fermi.csv", sample.to_csv())
-            manifest.outputs["fermi.json"] = _write(
-                out / "fermi.json", _json_dump(
-                    {"neumann_residual": res, "sheet_count": sample.sheet_count}
-                )
-            )
-            manifest.stage_pass[stage] = bool(res <= 0.05)
-
-        if "doubling" in stages:
-            stage = "doubling"
-            t0 = time.perf_counter()
-            spec = analysis["doubling"]
-            doubled = reflect_double(
-                geometry,
-                (np.asarray(spec["plane_point"], dtype=float),
-                 np.asarray(spec["plane_normal"], dtype=float)),
-            )
-            H = mean_curvature_vector(doubled).values
-            interior = ~doubled.is_boundary_vertex()
-            max_h = float(np.linalg.norm(H[interior], axis=1).max()) if interior.any() else 0.0
-            manifest.stage_seconds[stage] = time.perf_counter() - t0
-            write_obj(doubled, out / "doubled.obj")
-            manifest.outputs["doubled.obj"] = hashlib.sha256(
-                (out / "doubled.obj").read_bytes()
-            ).hexdigest()
-            manifest.outputs["doubling.json"] = _write(
-                out / "doubling.json", _json_dump(
-                    {"n_vertices": doubled.n_vertices,
-                     "n_faces": len(doubled.faces),
-                     "max_interior_H": max_h}
-                )
-            )
-            manifest.stage_pass[stage] = bool(max_h <= 0.1)
+            for name, output in outputs.items():
+                manifest.outputs[name] = _write(out / name, output)
+            manifest.stage_pass[stage] = bool(passed)
+            # later stages read the solved mesh and the verify result
+            geometry = outputs.get("final_mesh.obj", geometry)
+            check = outputs.get("verify.json", check)
+            if stage == "solve":
+                manifest.solve_termination = outputs["solve.json"]["termination"]
     except Exception as exc:  # surfaced as a machine-readable failure report
         manifest.failure = {"stage": stage, "error": str(exc)}
-        manifest.outputs["failure.json"] = _write(
-            out / "failure.json", _json_dump(manifest.failure)
-        )
+        manifest.outputs["failure.json"] = _write(out / "failure.json", manifest.failure)
 
-    _write(out / "manifest.json", _json_dump(manifest.to_json_dict(with_timings=False)))
-    _write(out / "timings.json", _json_dump(
-        {"stage_seconds": manifest.stage_seconds}
-    ))
+    _write(out / "manifest.json", manifest.to_json_dict(with_timings=False))
+    _write(out / "timings.json", {"stage_seconds": manifest.stage_seconds})
     return manifest

@@ -159,6 +159,29 @@ def test_disk_in_ball_verifies_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+STAGE_CALLEES = ("solve_minimal", "verify_minimal", "is_stable", "density_profile",
+                 "check_monotonicity", "build_chart", "graph_extract",
+                 "neumann_residual", "reflect_double", "mean_curvature_vector")
+
+
+def test_stages_call_through_module_names(tmp_path, monkeypatch):
+    # a wrapper installed on fbms.scenarios sees every stage's library call,
+    # as the benchmark's tracer needs for its stage spans
+    calls = dict.fromkeys(STAGE_CALLEES, 0)
+    for name in STAGE_CALLEES:
+        fn = getattr(fbms.scenarios, name)
+
+        def counted(*a, _name=name, _fn=fn, **k):
+            calls[_name] += 1
+            return _fn(*a, **k)
+
+        monkeypatch.setattr(fbms.scenarios, name, counted)
+    for scenario in ("disk-in-ball", "strip-on-plane"):
+        man = run_scenario(builtin_scenarios()[scenario], tmp_path / scenario)
+        assert man.all_passed()
+    assert [name for name, n in calls.items() if n == 0] == []
+
+
 def test_obj_input_reports_match_builtin(tmp_path):
     cfg = builtin_scenarios()["disk-in-ball"]
     write_obj(disk(**cfg["initial_mesh"]["params"]), tmp_path / "disk.obj")
@@ -277,6 +300,14 @@ _DISK = builtin_scenarios()["disk-in-ball"]
 _STRIP = builtin_scenarios()["strip-on-plane"]
 _STRIP_RUNS = {"solve": True, "verify": True, "stability": True, "doubling": True}
 _SEGMENT = builtin_scenarios()["radial-segment-k1"]
+
+
+def _disk_with(constraint=None, **analysis):
+    """disk-in-ball with its constraint spec or analysis blocks changed."""
+    return dict(_DISK, constraint=constraint or _DISK["constraint"],
+                analysis=dict(_DISK["analysis"], **analysis))
+
+
 BAD_CONFIGS = {
     "solver-key": dict(_STRIP, solver={"max_iterations": 10, "max_iters": 5}),
     # max_iterations is the one solver setting; the descent's others are fixed
@@ -313,6 +344,29 @@ BAD_CONFIGS = {
     "expect-polyline-termination": dict(_SEGMENT, solver={"max_iterations": 10},
                                         expect={"stage_pass": {"monotonicity": True},
                                                 "solve": {"termination": "stationary"}}),
+    # constraint keys are the constructor's arguments, and `inside` is not
+    # one: {phi < 0} is always the inside, so no value can flip A^N's sign
+    "constraint-inside": _disk_with(dict(_DISK["constraint"], inside="positve_phi")),
+    "constraint-unknown-key": _disk_with(dict(_DISK["constraint"], raduis=1.0)),
+    "fermi-unknown-key": _disk_with(fermi=dict(_DISK["analysis"]["fermi"], r00=0.4)),
+    "stability-object": _disk_with(stability={"x": 1}),
+    "stability-number": _disk_with(stability=1),
+    "sampler-param": dict(_DISK, initial_mesh={
+        "builtin": "disk", "params": dict(_DISK["initial_mesh"]["params"], n_radiall=20)}),
+    # degenerate primitives
+    "sphere-radius-zero": _disk_with(dict(_DISK["constraint"], radius=0)),
+    "sphere-radius-negative": _disk_with(dict(_DISK["constraint"], radius=-1)),
+    "sphere-radius-inf": _disk_with(dict(_DISK["constraint"], radius=float("inf"))),
+    "sphere-center-nan": _disk_with(dict(_DISK["constraint"], center=[float("nan"), 0, 0])),
+    "plane-zero-normal": dict(_STRIP, constraint=dict(_STRIP["constraint"], normal=[0, 0, 0])),
+    "ellipsoid-zero-axis": _disk_with({"type": "ellipsoid", "center": [0, 0, 0],
+                                       "semi_axes": [1, 1, 0]}),
+    "torus-self-intersecting": _disk_with({"type": "torus", "center": [0, 0, 0],
+                                           "major_radius": 0.5, "minor_radius": 0.7}),
+    "torus-zero-tube": _disk_with({"type": "torus", "center": [0, 0, 0],
+                                   "major_radius": 2.0, "minor_radius": 0.0}),
+    "graph-unknown-coefficient": _disk_with({"type": "graph",
+                                             "coefficients": {"cxx": 0.2, "cx2": 1.0}}),
 }
 
 

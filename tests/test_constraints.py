@@ -105,6 +105,7 @@ REACH_CASES = {
     "torus-across-hole": (Torus((0, 0, 0), 1.0, 0.7), (0.3, 0, 0), 0.8),
     "graph": (Graph({"cxx": 0.2, "cyy": -0.1, "cxy": 0.05}), (0, 0, 0), 1.0),
     "graph-flat": (Graph({"c0": 0.1, "cx": 0.3}), (0, 0, 0.1), 1.0),
+    "graph-cylinder": (Graph({"cxx": 0.2}), (0, 0, 0), 1.0),
 }
 
 
@@ -113,6 +114,25 @@ def test_sampled_turning_bound_respects_declared_reach(case):
     constraint, center, radius = REACH_CASES[case]
     kappa, _ = estimate_kappa(constraint, center, radius, sample_count=300)
     assert kappa <= (1.0 + 1e-9) / constraint.reach()
+
+
+def test_graph_reach_is_tight_on_parabolic_cylinder():
+    # z = 0.2 x^2 curves by 0.4 at its vertex, so its reach is 2.5
+    constraint, center, radius = REACH_CASES["graph-cylinder"]
+    assert constraint.reach() == pytest.approx(2.5, rel=1e-15)
+    kappa, _ = estimate_kappa(constraint, center, radius, sample_count=300)
+    assert kappa * constraint.reach() >= 0.98
+
+
+def test_batch_projection_drops_only_failed_rows():
+    torus = Torus((0, 0, 0), 2.0, 0.5)
+    x = np.array([[2.6, 0.0, 0.0], [0.0, 0.0, 0.1], [0.0, 2.4, 0.1]])
+    feet, why = torus._project_rows(x)
+    assert list(why) == ["", "query point on the torus axis", ""]
+    assert np.isnan(feet[1]).all()
+    assert np.array_equal(feet[[0, 2]], torus.project(x[[0, 2]]))
+    with pytest.raises(ProjectionError, match="torus axis"):
+        torus.project(x)
 
 
 def test_kappa_rejects_tiny_sample():

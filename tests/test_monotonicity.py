@@ -144,11 +144,11 @@ def test_radial_segment_density_exact_exponential():
 
 
 # gamma = 2 / R0: the ellipsoid's reach is 0.8^2 / 1.2, the torus's its tube
-# radius, and the graph's declared lower bound 0.5 / (2 * 0.2)
+# radius, and the graph's 1 / (2 * 0.2), its radius of curvature at the vertex
 @pytest.mark.parametrize("constraint, base, gamma", [
     (Ellipsoid((0, 0, 0), (1.2, 1.0, 0.8)), (1.2, 0.0, 0.0), 3.75),
     (Torus((0, 0, 0), 2.0, 0.5), (2.5, 0.0, 0.0), 4.0),
-    (Graph({"cxx": 0.2}), (0.0, 0.0, 0.0), 1.6),
+    (Graph({"cxx": 0.2}), (0.0, 0.0, 0.0), 0.8),
 ], ids=["ellipsoid", "torus", "graph"])
 def test_density_profile_takes_gamma_from_the_reach(constraint, base, gamma):
     segment = Polyline(np.array([base, np.add(base, (0.0, 0.0, 1.0))]))
