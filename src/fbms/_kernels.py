@@ -34,6 +34,7 @@ _GL_X, _GL_W = leggauss(EDGE_POINTS)
 
 
 def _tri_arrays(*xs):
+    """Each argument as float rows (n, 3); a point becomes one row."""
     return [np.asarray(x, dtype=float).reshape(-1, 3) for x in xs]
 
 
@@ -94,8 +95,7 @@ def mass_in_ball_tris(a, b, c, p, r):
     clipped. A clipped triangle is cut when its clipped area lies strictly
     between 0 and its area, up to CROSSING_SLACK relative.
     """
-    a, b, c = _tri_arrays(a, b, c)
-    p = np.asarray(p, dtype=float)
+    a, b, c, p = _tri_arrays(a, b, c, p)
     dist = _vertex_distances(a, b, c, p)
     inside = dist.max(axis=0) <= r
     clip = ~inside & (dist.min(axis=0) - _longest_edge(a, b, c) < r)
@@ -148,8 +148,7 @@ def deficit_sum_tris(a, b, c, normals, p, sigma, rho, lambda1, gamma):
     module docstring). One whose plane contains p, or that misses the ball
     B(p, rho), adds exactly 0, and none adds less than 0.
     """
-    a, b, c, n = _tri_arrays(a, b, c, normals)
-    p = np.asarray(p, dtype=float)
+    a, b, c, n, p = _tri_arrays(a, b, c, normals, p)
     dist = _vertex_distances(a, b, c, p)
     keep = (dist.max(axis=0) > sigma) & (dist.min(axis=0) - _longest_edge(a, b, c) < rho)
     a, b, c, n = a[keep], b[keep], c[keep], n[keep]
@@ -198,6 +197,33 @@ def deficit_sum_tris(a, b, c, normals, p, sigma, rho, lambda1, gamma):
     return float(np.maximum(total[meets], 0.0).sum())
 
 
+def _segment_frames(a, b, p):
+    """Per segment [a, b] of positive length: the arclengths s0 < s1 of a and
+    b from the foot of p on its line, its length, and h^2, the squared
+    distance from p to the line."""
+    a, b, p = _tri_arrays(a, b, p)
+    d = b - a
+    length = np.sqrt(np.vecdot(d, d))
+    keep = length > 0.0
+    length = length[keep]
+    u = d[keep] / length[:, None]
+    w = a[keep] - p
+    s0 = np.vecdot(w, u)
+    foot = w - s0[:, None] * u
+    return s0, s0 + length, length, np.vecdot(foot, foot)
+
+
+def mass_in_ball_segments(a, b, p, r):
+    """(length of the segments [a, b] inside the ball B(p, r), number of
+    segments the sphere cuts, up to 1e-15 relative): the arclengths
+    |s| < sqrt(r^2 - h^2) of each segment."""
+    s0, s1, length, h2 = _segment_frames(a, b, p)
+    outer = np.sqrt(np.maximum(r * r - h2, 0.0))
+    inside = np.maximum(0.0, np.minimum(s1, outer) - np.maximum(s0, -outer))
+    crossing = np.count_nonzero((inside > 0.0) & (inside < length - 1e-15 * length))
+    return float(inside.sum()), int(crossing)
+
+
 def deficit_sum_segments(a, b, p, sigma, rho, lambda1, gamma):
     """Integral of exp(lambda1 r) |component of grad r normal to the curve|^2
     / ((1 + gamma r) r) over the parts of the segments [a, b] inside the
@@ -211,17 +237,7 @@ def deficit_sum_segments(a, b, p, sigma, rho, lambda1, gamma):
     from the singularities at s = +-ih. A segment on a line through p adds
     exactly 0.
     """
-    a, b = _tri_arrays(a, b)
-    p = np.asarray(p, dtype=float)
-    d = b - a
-    length = np.sqrt(np.vecdot(d, d))
-    keep = length > 0.0
-    u = d[keep] / length[keep, None]
-    w = a[keep] - p
-    s0 = np.vecdot(w, u)
-    foot = w - s0[:, None] * u
-    h2 = np.vecdot(foot, foot)
-    s1 = s0 + length[keep]
+    s0, s1, _, h2 = _segment_frames(a, b, p)
     outer = np.sqrt(np.maximum(rho * rho - h2, 0.0))
     inner = np.sqrt(np.maximum(sigma * sigma - h2, 0.0))
     # the pieces s in [-outer, -inner] and [inner, outer] of each segment

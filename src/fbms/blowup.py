@@ -97,19 +97,15 @@ def reflect_double(mesh: TriangleMesh, plane) -> TriangleMesh:
     seam and are not duplicated); reflected faces get flipped orientation.
     """
     pl = Plane(*plane)
-    cidx = np.nonzero(mesh.constrained)[0]
-    if len(cidx) == 0:
-        raise ValueError("boundary not on plane")
-    _, t = _reflect_points(mesh.vertices[cidx], pl)
-    scale = 1.0 + mesh.diameter()
-    if np.abs(t).max() > 1e-8 * scale:
+    mirrored, t = _reflect_points(mesh.vertices, pl)
+    seam = t[mesh.constrained]
+    if len(seam) == 0 or np.abs(seam).max() > 1e-8 * (1.0 + mesh.diameter()):
         raise ValueError("boundary not on plane")
     res, _ = free_boundary_residual(mesh, pl, on_tol=1e-7)
     if res > 0.05:
         raise ValueError("residual too large to weld")
 
     n = mesh.n_vertices
-    mirrored, _ = _reflect_points(mesh.vertices, pl)
     free = ~mesh.constrained  # seam vertices are shared with the original
     new_index = np.arange(n)
     new_index[free] = n + np.arange(np.count_nonzero(free))

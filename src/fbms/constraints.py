@@ -100,14 +100,10 @@ class LevelSetConstraint:
             J[:, :3, :3] = np.eye(3) + lam[:, None, None] * self.hess(p)
             J[:, :3, 3] = gp
             J[:, 3, :3] = gp
-            try:
-                step = np.linalg.solve(J, F[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                # LAPACK's exact zero pivot is a zero determinant
-                keep = np.linalg.det(J) != 0
-                why[rows[~keep]] = _OUTSIDE
-                rows, p, lam, F, res, J = (a[keep] for a in (rows, p, lam, F, res, J))
-                step = np.linalg.solve(J, F[:, :, None])[:, :, 0]
+            keep = np.linalg.det(J) != 0  # singular rows fail; solve rejects a zero pivot
+            why[rows[~keep]] = _OUTSIDE
+            rows, p, lam, F, res, J = (a[keep] for a in (rows, p, lam, F, res, J))
+            step = np.linalg.solve(J, F[:, :, None])[:, :, 0]
             # damped update: halve any step that does not reduce the residual
             t = np.ones(len(p))
             for _ in range(20):
@@ -138,11 +134,16 @@ class LevelSetConstraint:
             raise ProjectionError("gradient vanishes")
         return g / n
 
+    def check_on(self, p):
+        """Raises ValueError unless the point p, or each row of p, is on N."""
+        p = np.asarray(p, dtype=float).reshape(-1, 3)
+        on = np.abs(self.phi(p)) <= 1e-10 * (1 + np.linalg.norm(p, axis=1))
+        if not (on.all() and np.isfinite(p).all()):
+            raise ValueError("point is not on the constraint surface")
+
     def projectors(self, p):
         """(tau, nu) orthogonal projectors onto T_pN and its complement."""
-        p = np.asarray(p, dtype=float)
-        if abs(float(self.phi(p[None, :])[0])) > 1e-10 * (1 + np.linalg.norm(p)):
-            raise ValueError("point is not on the constraint surface")
+        self.check_on(p)
         n = self.unit_normal(p)
         nu = np.outer(n, n)
         return np.eye(3) - nu, nu
@@ -158,15 +159,10 @@ class LevelSetConstraint:
         arrays p and v; convex inside => positive."""
         single = np.ndim(p) == 1
         p, v = (np.asarray(x, dtype=float).reshape(-1, 3) for x in (p, v))
-        if np.any(np.abs(self.phi(p)) > 1e-10 * (1 + np.linalg.norm(p, axis=1))):
-            raise ValueError("point is not on the constraint surface")
-        g = self.grad(p)
-        gn = np.linalg.norm(g, axis=1)
-        if np.any(gn < 1e-12):
-            raise ProjectionError("gradient vanishes")
-        tang = v - (np.vecdot(v, g) / gn**2)[:, None] * g
-        if np.any(np.linalg.norm(tang - v, axis=1) > 1e-8):
+        self.check_on(p)
+        if np.any(np.abs(np.vecdot(v, self.unit_normal(p))) > 1e-8):
             raise ValueError("direction is not tangent to the constraint")
+        gn = np.linalg.norm(self.grad(p), axis=1)
         vals = np.einsum("ni,nij,nj->n", v, self.hess(p), v) / gn
         return float(vals[0]) if single else vals
 

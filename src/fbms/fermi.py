@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .mesh import _any_orthonormal
 
 
 @dataclass(frozen=True)
@@ -31,24 +33,17 @@ class FermiChart:
         object.__setattr__(self, "frame", F)
         if np.abs(F @ F.T - np.eye(3)).max() > 1e-12:
             raise ValueError("frame must be orthonormal")
-        if self.radius >= 0.9 * self.constraint.reach():
-            raise ValueError("chart radius must stay below 0.9 R0")
+        if not 0.0 < self.radius < 0.9 * self.constraint.reach():
+            raise ValueError("chart radius must be positive and stay below 0.9 R0")
 
     def from_fermi(self, coords):
         """(t, x1, x2) -> ambient point."""
         coords = np.asarray(coords, dtype=float)
-        single = coords.ndim == 1
         c = np.atleast_2d(coords)
-        n, e1, e2 = self.frame
-        feet = self.constraint.project(
-            self.base + np.outer(c[:, 1], e1) + np.outer(c[:, 2], e2)
-        )
-        normals = self.constraint.unit_normal(feet)
-        # orient the normal field consistently with the frame at the base
-        signs = np.sign(normals @ n)
-        signs[signs == 0] = 1.0
-        out = feet + (c[:, 0] * signs)[:, None] * normals
-        return out[0] if single else out
+        _, e1, e2 = self.frame
+        feet, normals = self._feet(self.base + np.outer(c[:, 1], e1) + np.outer(c[:, 2], e2))
+        out = feet + c[:, :1] * normals
+        return out[0] if coords.ndim == 1 else out
 
     def to_fermi(self, points):
         """Closed-form inverse of the chart map.
@@ -60,35 +55,34 @@ class FermiChart:
         stays below the reach R0 of N, and the chart is not injective past it.
         """
         points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
         pts = np.atleast_2d(points)
         n, e1, e2 = self.frame
-        feet = self.constraint.project(pts)
-        normals = self.constraint.unit_normal(feet)
-        along = normals @ n
+        feet, normals = self._feet(pts)
+        along = normals @ n  # at least 0, and above 0 past the check
         rise = (feet - self.base) @ n
-        if np.any(np.abs(rise) >= self.constraint.reach() * np.abs(along)):
+        if np.any(np.abs(rise) >= self.constraint.reach() * along):
             raise ValueError("chart radius exceeds injectivity of projection")
-        # the normal oriented as in from_fermi; along is never 0 past the check
-        t = np.vecdot(pts - feet, normals) * np.sign(along)
         rel = feet - self.base - (rise / along)[:, None] * normals
-        out = np.column_stack([t, rel @ e1, rel @ e2])
-        return out[0] if single else out
+        out = np.column_stack([np.vecdot(pts - feet, normals), rel @ e1, rel @ e2])
+        return out[0] if points.ndim == 1 else out
+
+    def _feet(self, points):
+        """Nearest points on N of the rows of `points`, and the unit normals
+        there, oriented as the frame's normal at the base (+ where orthogonal
+        to it)."""
+        feet = self.constraint.project(points)
+        normals = self.constraint.unit_normal(feet)
+        signs = np.sign(normals @ self.frame[0])
+        signs[signs == 0] = 1.0
+        return feet, signs[:, None] * normals
 
 
 def build_chart(constraint, p, r0) -> FermiChart:
     p = np.asarray(p, dtype=float)
-    scale = 1.0 + float(np.linalg.norm(p))
-    if abs(float(constraint.phi(p[None, :])[0])) > 1e-10 * scale:
-        raise ValueError("base point is not on the constraint surface")
-    n = constraint.unit_normal(p[None, :])[0]
-    # any orthonormal completion of the normal
-    a = np.zeros(3)
-    a[int(np.argmin(np.abs(n)))] = 1.0
-    e1 = np.cross(n, a)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    return FermiChart(base=p, frame=np.vstack([n, e1, e2]), radius=float(r0),
+    constraint.check_on(p)
+    n = constraint.unit_normal(p[None, :])
+    e1 = _any_orthonormal(n)
+    return FermiChart(base=p, frame=np.vstack([n, e1, np.cross(n, e1)]), radius=float(r0),
                       constraint=constraint)
 
 
@@ -161,8 +155,6 @@ def graph_extract(chart: FermiChart, mesh, tangent_halfspace, grid_spec: GridSpe
     # matrices across grid points; triangles parallel to w3 have none
     M = np.stack([E1, E2, np.broadcast_to(-w3, E1.shape)], axis=2)
     ok = np.abs(np.linalg.det(M)) > 1e-14
-    if not ok.any():
-        raise ValueError("no intersection")
     M, origins = M[ok], tris[ok, 0]
     for i, t in enumerate(tv):
         for j, s in enumerate(sv):
@@ -181,28 +173,18 @@ def graph_extract(chart: FermiChart, mesh, tangent_halfspace, grid_spec: GridSpe
     if sheet_count == 0:
         raise ValueError("no intersection")
     u = np.full((len(tv), len(sv), sheet_count), np.nan)
-    valid = np.zeros((len(tv), len(sv), sheet_count), dtype=bool)
-    for i in range(len(tv)):
-        for j in range(len(sv)):
-            for k, val in enumerate(hits[i][j]):
-                u[i, j, k] = val
-                valid[i, j, k] = True
-    return GraphSample(t_values=tv, s_values=sv, u=u, valid=valid,
+    for i, row in enumerate(hits):
+        for j, found in enumerate(row):
+            u[i, j, :len(found)] = found
+    return GraphSample(t_values=tv, s_values=sv, u=u, valid=~np.isnan(u),
                        sheet_count=sheet_count)
 
 
 def neumann_residual(sample: GraphSample) -> float:
     """max |du/dt(0, x')| by one-sided second-order finite difference."""
-    if len(sample.t_values) < 3:
+    ok = sample.valid[:3].all(axis=0)  # the sheets valid on the first 3 rows
+    if len(sample.t_values) < 3 or not ok.any():
         raise ValueError("insufficient t-rows")
     h = float(sample.t_values[1] - sample.t_values[0])
-    worst = None
-    for j in range(len(sample.s_values)):
-        for k in range(sample.sheet_count):
-            if sample.valid[0, j, k] and sample.valid[1, j, k] and sample.valid[2, j, k]:
-                u0, u1, u2 = sample.u[0, j, k], sample.u[1, j, k], sample.u[2, j, k]
-                r = abs((-3.0 * u0 + 4.0 * u1 - u2) / (2.0 * h))
-                worst = r if worst is None else max(worst, r)
-    if worst is None:
-        raise ValueError("insufficient t-rows")
-    return float(worst)
+    u0, u1, u2 = sample.u[:3, ok]
+    return float(np.abs((-3.0 * u0 + 4.0 * u1 - u2) / (2.0 * h)).max())

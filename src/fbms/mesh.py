@@ -184,9 +184,6 @@ class TriangleMesh:
             raise ValueError("boundary edges do not form disjoint closed loops")
         return loops
 
-    def boundary_vertices(self):
-        return np.nonzero(self.topology.boundary_mask)[0]
-
     def is_boundary_vertex(self):
         return self.topology.boundary_mask.copy()
 
@@ -217,6 +214,12 @@ class TriangleMesh:
 
     def face_areas(self):
         return 0.5 * self._face_frame()[2]
+
+    def face_normals(self):
+        """(3, m) unit normals (x1 - x0) x (x2 - x0) / |.|, zero on a face of
+        zero area."""
+        _, normals, lengths = self._face_frame()
+        return normals / np.maximum(lengths, 1e-300)
 
     def edge_lengths(self):
         """(3, m) lengths of the sides (x0, x1), (x1, x2), (x2, x0) of each face."""
@@ -363,8 +366,8 @@ def mean_curvature_vector(mesh: TriangleMesh) -> VertexField:
 
 def area_gradient_raw(mesh: TriangleMesh) -> np.ndarray:
     """Exact gradient of total discrete area with respect to vertex positions."""
-    sides, n, nrm = mesh._face_frame()
-    nhat = n / np.maximum(nrm, 1e-300)
+    sides = mesh._face_frame()[0]
+    nhat = mesh.face_normals()
     # d(face area)/d(x_k) = 0.5 * nhat x (side opposite corner k)
     return _scatter_corners(mesh, np.concatenate([0.5 * _cross(nhat, s) for s in sides], axis=1))
 

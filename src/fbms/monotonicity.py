@@ -27,13 +27,22 @@ from .variation import verify_minimal
 class Polyline:
     """Open polygonal curve; the k = 1 analogue of a mesh surface."""
 
-    vertices: np.ndarray  # (n, d) with d in {2, 3}
+    vertices: np.ndarray  # (n, 3); (n, 2) input lies in z = 0
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] not in (2, 3):
             raise ValueError("polyline needs >= 2 vertices in 2 or 3 dims")
-        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "vertices", _in_space(v))
+
+
+def _in_space(x):
+    """Points of the plane or of space, as points of space: a point (x, y)
+    of the plane is (x, y, 0)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] == 2:
+        x = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
+    return x
 
 
 @dataclass
@@ -80,16 +89,13 @@ class _SortedFaces:
     on their distance to p, so those a ball about p can reach are a prefix."""
 
     def __init__(self, mesh: TriangleMesh, p):
-        v, f = mesh.vertices, mesh.faces
-        a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-        n = np.cross(b - a, c - a)
-        norms = np.linalg.norm(n, axis=1)
+        a, b, c = mesh.vertices[mesh.faces.T]
         near = (_kernels._vertex_distances(a, b, c, p).min(axis=0)
-                - _kernels._longest_edge(a, b, c))
-        order = np.flatnonzero(norms > 1e-300)
+                - mesh.edge_lengths().max(axis=0))
+        order = np.flatnonzero(mesh.face_areas() > 0.0)
         order = order[np.argsort(near[order], kind="stable")]
         self.near = near[order]
-        self.faces = (a[order], b[order], c[order], n[order] / norms[order, None])
+        self.faces = (a[order], b[order], c[order], mesh.face_normals().T[order])
 
     @staticmethod
     def within(geometry, p, r):
@@ -98,26 +104,6 @@ class _SortedFaces:
             geometry = _SortedFaces(geometry, p)
         k = np.searchsorted(geometry.near, r)
         return [x[:k] for x in geometry.faces]
-
-
-def _segment_length_in_ball(a, b, p, r):
-    """Exact length of segment [a, b] inside the open ball B(p, r)."""
-    d = b - a
-    L = np.linalg.norm(d)
-    if L < 1e-300:
-        return 0.0
-    u = d / L
-    w = a - p
-    # |w + t u| = r, t in [0, L]
-    bq = float(w @ u)
-    cq = float(w @ w) - r * r
-    disc = bq * bq - cq
-    if disc <= 0:
-        return 0.0
-    s = np.sqrt(disc)
-    t0 = max(0.0, -bq - s)
-    t1 = min(L, -bq + s)
-    return max(0.0, t1 - t0)
 
 
 def mass_in_ball(geometry, p, r) -> BallMass:
@@ -129,25 +115,13 @@ def mass_in_ball(geometry, p, r) -> BallMass:
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    p = np.asarray(p, dtype=float)
+    p = _in_space(p)
     if isinstance(geometry, Polyline):
         v = geometry.vertices
-        if v.shape[1] == 2:
-            v = np.hstack([v, np.zeros((len(v), 1))])
-        q = p
-        if q.shape[0] == 2:
-            q = np.array([p[0], p[1], 0.0])
-        total = 0.0
-        crossing = 0
-        for a, b in zip(v[:-1], v[1:]):
-            ell = _segment_length_in_ball(a, b, q, r)
-            full = np.linalg.norm(b - a)
-            total += ell
-            if 0.0 < ell < full - 1e-15 * full:
-                crossing += 1
-        return BallMass(radius=float(r), mass=total, clipped_triangle_count=crossing)
-    a, b, c, _ = _SortedFaces.within(geometry, p, r)
-    mass, crossing = _kernels.mass_in_ball_tris(a, b, c, p, float(r))
+        mass, crossing = _kernels.mass_in_ball_segments(v[:-1], v[1:], p, float(r))
+    else:
+        a, b, c, _ = _SortedFaces.within(geometry, p, r)
+        mass, crossing = _kernels.mass_in_ball_tris(a, b, c, p, float(r))
     return BallMass(radius=float(r), mass=float(mass), clipped_triangle_count=int(crossing))
 
 
@@ -158,35 +132,31 @@ def deficit_integral(geometry, p, sigma, rho, Lambda1, gamma) -> float:
     spheres, with a closed form or Gauss-Legendre on the pieces between."""
     if not 0 < sigma < rho:
         raise ValueError("need 0 < sigma < rho")
-    p = np.asarray(p, dtype=float)
+    p = _in_space(p)
     if isinstance(geometry, Polyline):
-        return _deficit_polyline(geometry, p, sigma, rho, Lambda1, gamma)
+        v = geometry.vertices
+        return _kernels.deficit_sum_segments(v[:-1], v[1:], p, float(sigma), float(rho),
+                                             float(Lambda1), float(gamma))
     a, b, c, n = _SortedFaces.within(geometry, p, rho)
     return float(_kernels.deficit_sum_tris(a, b, c, n, p, float(sigma), float(rho),
                                            float(Lambda1), float(gamma)))
 
 
-def _deficit_polyline(poly, p, sigma, rho, Lambda1, gamma):
-    v = poly.vertices
-    if v.shape[1] == 2:
-        v = np.hstack([v, np.zeros((len(v), 1))])
-        if p.shape[0] == 2:
-            p = np.array([p[0], p[1], 0.0])
-    return _kernels.deficit_sum_segments(v[:-1], v[1:], p, float(sigma), float(rho),
-                                         float(Lambda1), float(gamma))
-
-
-def _dimension_k(geometry):
-    return 1 if isinstance(geometry, Polyline) else 2
+def as_radii(radii):
+    """radii as floats: at least 2, finite, positive and strictly increasing."""
+    r = np.asarray(radii, dtype=float)
+    if (r.ndim != 1 or len(r) < 2 or not np.isfinite(r).all() or r[0] <= 0.0
+            or (np.diff(r) <= 0.0).any()):
+        raise ValueError("radii must be at least 2 finite positive numbers, "
+                         "strictly increasing")
+    return r.tolist()
 
 
 def _profile(geometry, p, radii, gamma, with_deficits=True,
              minimal_verified=True):
-    k = _dimension_k(geometry)
+    k = 1 if isinstance(geometry, Polyline) else 2
     Lambda1 = k * (3.0 * gamma)
-    radii = [float(r) for r in radii]
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing")
+    radii = as_radii(radii)
     if isinstance(geometry, TriangleMesh):
         geometry = _SortedFaces(geometry, p)
     masses = [mass_in_ball(geometry, p, r).mass for r in radii]
@@ -217,11 +187,8 @@ def density_profile(geometry, constraint, p, radii, check=None) -> DensityProfil
     A triangle mesh is verified as minimal, unless check, verify_minimal's
     result for this mesh and constraint, is given.
     """
-    p = np.asarray(p, dtype=float)
-    pp = p if p.shape[0] == 3 else np.array([p[0], p[1], 0.0])
-    scale = 1.0 + float(np.linalg.norm(pp))
-    if abs(float(constraint.phi(pp[None, :])[0])) > 1e-10 * scale:
-        raise ValueError("base point is not on the constraint surface")
+    p = _in_space(p)
+    constraint.check_on(p)
     R0 = constraint.reach()
     if max(radii) >= R0 / 2.0:
         raise ValueError("radius exceeds R0/2")
@@ -236,7 +203,7 @@ def density_profile(geometry, constraint, p, radii, check=None) -> DensityProfil
 
 def interior_density(geometry, p, radii) -> DensityProfile:
     """Classical density ratio mass / r^k at an interior point (gamma = 0)."""
-    p = np.asarray(p, dtype=float)
+    p = _in_space(p)
     return _profile(geometry, p, radii, gamma=0.0, with_deficits=False)
 
 

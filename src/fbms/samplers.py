@@ -1,38 +1,40 @@
-"""Analytic mesh samplers for the builtin scenarios and tests."""
+"""Analytic mesh samplers for the builtin scenarios and tests.
+
+Every sampler but `icosphere` triangulates an index grid with `_grid_faces`:
+the rectangle and the catenoid directly, the two disks through
+`_polar_mesh`, whose grid runs from the center to the rim.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, refine
+
+
+def _grid_faces(idx):
+    """Triangles (a, b, d) and (a, d, c) of each quad a = idx[i, j],
+    b = idx[i, j + 1], c = idx[i + 1, j], d = idx[i + 1, j + 1] of a 2-D
+    index grid, as an (i, j, 2, 3) array."""
+    a, b, c, d = idx[:-1, :-1], idx[:-1, 1:], idx[1:, :-1], idx[1:, 1:]
+    return np.stack([np.stack([a, b, d], axis=-1), np.stack([a, d, c], axis=-1)],
+                    axis=-2)
 
 
 def grid_patch(nx=8, ny=8, x_range=(0.0, 1.0), y_range=(0.0, 1.0), constrain=None):
     """Flat triangulated rectangle in {z = 0}.
 
-    `constrain` is an optional predicate on (x, y) marking boundary vertices
-    as constrained.
+    `constrain` is an optional predicate on arrays (x, y), marking boundary
+    vertices as constrained.
     """
-    xs = np.linspace(*x_range, nx + 1)
-    ys = np.linspace(*y_range, ny + 1)
-    verts = np.array([[x, y, 0.0] for y in ys for x in xs])
-    faces = []
-    for j in range(ny):
-        for i in range(nx):
-            a = j * (nx + 1) + i
-            b = a + 1
-            c = a + (nx + 1)
-            d = c + 1
-            faces.append((a, b, d))
-            faces.append((a, d, c))
-    mesh = TriangleMesh(verts, np.array(faces, dtype=np.int64))
+    x, y = np.meshgrid(np.linspace(*x_range, nx + 1), np.linspace(*y_range, ny + 1))
+    verts = np.stack([x.ravel(), y.ravel(), np.zeros(x.size)], axis=1)
+    faces = _grid_faces(np.arange(x.size).reshape(x.shape)).reshape(-1, 3)
+    flags = np.zeros(len(verts), dtype=bool)
     if constrain is not None:
-        flags = np.zeros(len(verts), dtype=bool)
-        for i in mesh.boundary_vertices():
-            if constrain(verts[i, 0], verts[i, 1]):
-                flags[i] = True
-        mesh = TriangleMesh(verts, mesh.faces, flags)
-    return mesh
+        rim = TriangleMesh(verts, faces).is_boundary_vertex()
+        flags[rim] = constrain(verts[rim, 0], verts[rim, 1])
+    return TriangleMesh(verts, faces, flags)
 
 
 def strip_on_plane(n=8):
@@ -48,60 +50,39 @@ def halfplane_patch(n=32, x_max=2.0, y_half=2.0):
     )
 
 
+def _polar_mesh(radius, n_radial, angles, closed):
+    """Disk sector in {z = 0}: the center, then n_radial rings of points at
+    `angles`, the last one the constrained rim on the circle of the given
+    radius. The first ring is fanned about the center and each ring joined to
+    the next; `closed` also joins each ring's last point to its first."""
+    r = radius * np.arange(1, n_radial + 1) / n_radial
+    x, y = r[:, None] * np.cos(angles), r[:, None] * np.sin(angles)
+    verts = np.concatenate([np.zeros((1, 3)),
+                            np.stack([x.ravel(), y.ravel(), np.zeros(x.size)], axis=1)])
+    # grid rows: the center, repeated, then the rings
+    idx = np.concatenate([np.zeros((1, len(angles)), dtype=np.int64),
+                          np.arange(1, len(verts)).reshape(n_radial, -1)])
+    if closed:
+        idx = np.hstack([idx, idx[:, :1]])
+    # faces ring by ring; of each quad at the center only (a, b, d) has area
+    quads = _grid_faces(idx.T).swapaxes(0, 1)
+    faces = np.concatenate([quads[0, :, 0], quads[1:].reshape(-1, 3)])
+    rim = np.zeros(len(verts), dtype=bool)
+    rim[idx[-1]] = True
+    return TriangleMesh(verts, faces, rim)
+
+
 def disk(radius=1.0, n_radial=16, n_angular=64, constrain_boundary=True):
     """Flat disk in {z=0} centered at the origin; boundary on the circle."""
-    verts = [(0.0, 0.0, 0.0)]
-    rings = []
-    for i in range(1, n_radial + 1):
-        r = radius * i / n_radial
-        ring = []
-        for j in range(n_angular):
-            th = 2 * np.pi * j / n_angular
-            ring.append(len(verts))
-            verts.append((r * np.cos(th), r * np.sin(th), 0.0))
-        rings.append(ring)
-    faces = []
-    for j in range(n_angular):
-        jn = (j + 1) % n_angular
-        faces.append((0, rings[0][j], rings[0][jn]))
-    for i in range(n_radial - 1):
-        inner, outer = rings[i], rings[i + 1]
-        for j in range(n_angular):
-            jn = (j + 1) % n_angular
-            faces.append((inner[j], outer[j], outer[jn]))
-            faces.append((inner[j], outer[jn], inner[jn]))
-    verts = np.array(verts)
-    mesh = TriangleMesh(verts, np.array(faces, dtype=np.int64))
-    if constrain_boundary:
-        mesh = TriangleMesh(verts, mesh.faces, mesh.is_boundary_vertex())
-    return mesh
+    mesh = _polar_mesh(radius, n_radial, 2 * np.pi * np.arange(n_angular) / n_angular,
+                       closed=True)
+    return mesh if constrain_boundary else TriangleMesh(mesh.vertices, mesh.faces)
 
 
 def half_disk(radius=1.0, n_radial=16, n_angular=32):
     """Half disk {z=0, y>=0}; curved boundary vertices constrained."""
-    verts = [(0.0, 0.0, 0.0)]
-    rings = []
-    for i in range(1, n_radial + 1):
-        r = radius * i / n_radial
-        ring = []
-        for j in range(n_angular + 1):
-            th = np.pi * j / n_angular
-            ring.append(len(verts))
-            verts.append((r * np.cos(th), r * np.sin(th), 0.0))
-        rings.append(ring)
-    faces = []
-    for j in range(n_angular):
-        faces.append((0, rings[0][j], rings[0][j + 1]))
-    for i in range(n_radial - 1):
-        inner, outer = rings[i], rings[i + 1]
-        for j in range(n_angular):
-            faces.append((inner[j], outer[j], outer[j + 1]))
-            faces.append((inner[j], outer[j + 1], inner[j + 1]))
-    verts = np.array(verts)
-    flags = np.zeros(len(verts), dtype=bool)
-    for k in rings[-1]:
-        flags[k] = True  # the curved arc only
-    return TriangleMesh(verts, np.array(faces, dtype=np.int64), flags)
+    return _polar_mesh(radius, n_radial, np.pi * np.arange(n_angular + 1) / n_angular,
+                       closed=False)
 
 
 def catenoid_scale_for_unit_sphere(t_max):
@@ -109,36 +90,19 @@ def catenoid_scale_for_unit_sphere(t_max):
     return 1.0 / np.sqrt(np.cosh(t_max) ** 2 + t_max**2)
 
 
-def catenoid(t_min=-1.0, t_max=1.0, nt=32, ntheta=64, scale=1.0,
-             constrain_boundary=True):
-    """Catenoid patch scale*(cosh t cos th, cosh t sin th, t), t in [t_min, t_max]."""
+def catenoid(t_min=-1.0, t_max=1.0, nt=32, ntheta=64, scale=1.0):
+    """Catenoid patch scale*(cosh t cos th, cosh t sin th, t), t in [t_min, t_max],
+    with both boundary circles constrained."""
     ts = np.linspace(t_min, t_max, nt + 1)
-    verts = []
-    for t in ts:
-        for j in range(ntheta):
-            th = 2 * np.pi * j / ntheta
-            verts.append(
-                (
-                    scale * np.cosh(t) * np.cos(th),
-                    scale * np.cosh(t) * np.sin(th),
-                    scale * t,
-                )
-            )
-    faces = []
-    for i in range(nt):
-        for j in range(ntheta):
-            jn = (j + 1) % ntheta
-            a = i * ntheta + j
-            b = i * ntheta + jn
-            c = (i + 1) * ntheta + j
-            d = (i + 1) * ntheta + jn
-            faces.append((a, b, d))
-            faces.append((a, d, c))
-    verts = np.array(verts)
-    mesh = TriangleMesh(verts, np.array(faces, dtype=np.int64))
-    if constrain_boundary:
-        mesh = TriangleMesh(verts, mesh.faces, mesh.is_boundary_vertex())
-    return mesh
+    th = 2 * np.pi * np.arange(ntheta) / ntheta
+    rho = scale * np.cosh(ts)[:, None]
+    verts = np.stack([(rho * np.cos(th)).ravel(), (rho * np.sin(th)).ravel(),
+                      np.repeat(scale * ts, ntheta)], axis=1)
+    idx = np.arange(len(verts)).reshape(nt + 1, ntheta)
+    faces = _grid_faces(np.hstack([idx, idx[:, :1]])).reshape(-1, 3)
+    rim = np.zeros(len(verts), dtype=bool)
+    rim[idx[[0, -1]]] = True
+    return TriangleMesh(verts, faces, rim)
 
 
 CRITICAL_CATENOID_T0 = 1.1996786402577433  # root of t*tanh(t) = 1
@@ -152,10 +116,9 @@ def critical_catenoid(nt=64, ntheta=64):
 
 def half_catenoid(t_max=1.0, nt=16, ntheta=64, scale=1.0):
     """Catenoid half t in [0, t_max]; the t=0 circle is the constrained boundary."""
-    mesh = catenoid(0.0, t_max, nt, ntheta, scale, constrain_boundary=False)
-    flags = np.zeros(mesh.n_vertices, dtype=bool)
-    flags[: ntheta] = True  # the waist circle lies on the reflection plane z=0
-    return TriangleMesh(mesh.vertices, mesh.faces, flags)
+    mesh = catenoid(0.0, t_max, nt, ntheta, scale)
+    # the waist circle lies on the reflection plane z=0
+    return TriangleMesh(mesh.vertices, mesh.faces, np.arange(mesh.n_vertices) < ntheta)
 
 
 def spherical_cap_graph(bulge=0.2, n_radial=16, n_angular=64):
@@ -171,8 +134,7 @@ def spherical_cap_graph(bulge=0.2, n_radial=16, n_angular=64):
         z0 = np.sign(bulge) * (abs(bulge) - rho)
         r2 = v[:, 0] ** 2 + v[:, 1] ** 2
         v[:, 2] = z0 + np.sign(bulge) * np.sqrt(np.maximum(rho**2 - r2, 0.0))
-        rim = flat.is_boundary_vertex()
-        v[rim, 2] = 0.0
+        v[flat.constrained, 2] = 0.0  # the rim
     return TriangleMesh(v, flat.faces, flat.constrained)
 
 
@@ -197,8 +159,6 @@ def icosphere(subdivisions=3, radius=1.0):
         ],
         dtype=np.int64,
     )
-    from .mesh import refine
-
     mesh = TriangleMesh(verts, faces)
     for _ in range(subdivisions):
         mesh = refine(mesh)

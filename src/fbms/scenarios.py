@@ -21,13 +21,14 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, fermi
 from .blowup import reflect_double
-from .constraints import constraint_from_spec
+from .constraints import Plane, constraint_from_spec
 from .fermi import GridSpec, build_chart, graph_extract, neumann_residual
 from .mesh import mean_curvature_vector, vertex_normals
 from .monotonicity import (
     Polyline,
+    as_radii,
     check_monotonicity,
     default_radius_grid,
     density_profile,
@@ -68,15 +69,10 @@ def perturbed_critical_catenoid(nt=64, ntheta=64, amplitude=0.005, mode=3):
     return mesh.with_vertices(v + f[:, None] * n)
 
 
-_BUILTIN_SAMPLERS = {
-    "strip_on_plane": strip_on_plane,
-    "halfplane_patch": halfplane_patch,
-    "disk": disk,
-    "critical_catenoid": critical_catenoid,
-    "perturbed_critical_catenoid": perturbed_critical_catenoid,
-    "half_catenoid": half_catenoid,
-    "spherical_cap_graph": spherical_cap_graph,
-}
+# the samplers a config names by their function names
+_BUILTIN_SAMPLERS = {f.__name__: f for f in (
+    strip_on_plane, halfplane_patch, disk, critical_catenoid,
+    perturbed_critical_catenoid, half_catenoid, spherical_cap_graph)}
 
 
 def builtin_scenarios():
@@ -198,7 +194,7 @@ _TOP_KEYS = {
 def _check_builds(what, build, spec):
     """Builds a nested spec with its own constructor, as a stage would."""
     try:
-        build(spec)
+        return build(spec)
     except KeyError as exc:
         raise ScenarioError(f"{what} is missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -223,7 +219,7 @@ def _stages_run(config):
             and (is_mesh or name == "monotonicity")]
 
 
-def _validate_analysis(analysis):
+def _validate_analysis(analysis, constraint, polyline):
     if not isinstance(analysis, dict):
         raise ScenarioError("analysis must be an object")
     allowed = {name: keys for name, keys, _ in _STAGES if keys is not None}
@@ -235,11 +231,13 @@ def _validate_analysis(analysis):
             if not isinstance(block, bool):
                 raise ScenarioError(f"analysis.{name} must be true or false")
             continue
-        required, optional = allowed[name]
+        required, optional, check = allowed[name]
         if not (isinstance(block, dict)
                 and set(required) <= set(block) <= set(required + optional)):
             raise ScenarioError(f"analysis.{name} must be an object with keys "
                                 f"{list(required)} and optionally {list(optional)}")
+        _check_builds(f"analysis.{name}",
+                      lambda b: check(b, constraint, polyline), block)
 
 
 def _validate_expect(expect, stages):
@@ -282,6 +280,9 @@ def validate_config(config: dict) -> dict:
     for key in ("name", "initial_mesh", "constraint"):
         if key not in config:
             raise ScenarioError(f"missing required key {key!r}")
+    name = config["name"]  # the run's directory under the output root
+    if not isinstance(name, str) or name in ("", ".", "..") or {"/", "\\"} & set(name):
+        raise ScenarioError(f"name must be one path component, not {name!r}")
     mesh_spec = config["initial_mesh"]
     if not isinstance(mesh_spec, dict):
         raise ScenarioError("initial_mesh must be an object")
@@ -292,16 +293,22 @@ def validate_config(config: dict) -> dict:
     if extra:
         raise ScenarioError(f"unknown initial_mesh keys: {sorted(extra)}")
     if "builtin" in mesh_spec:
-        sampler = _BUILTIN_SAMPLERS.get(mesh_spec["builtin"])
+        builtin = mesh_spec["builtin"]
+        sampler = _BUILTIN_SAMPLERS.get(builtin) if isinstance(builtin, str) else None
         if sampler is None:
-            raise ScenarioError(f"unknown builtin sampler {mesh_spec['builtin']!r}")
+            raise ScenarioError(f"unknown builtin sampler {builtin!r}")
         _check_builds("initial_mesh.params",
                       lambda params: inspect.signature(sampler).bind(**params),
                       mesh_spec.get("params", {}))
-    if "obj" in mesh_spec and not Path(mesh_spec["obj"]).exists():
-        raise ScenarioError(f"mesh file not found: {mesh_spec['obj']}")
-    _validate_analysis(config.get("analysis", {}))
-    _check_builds("constraint", constraint_from_spec, config["constraint"])
+    if "obj" in mesh_spec:
+        obj = mesh_spec["obj"]
+        if not (isinstance(obj, str) and Path(obj).exists()):
+            raise ScenarioError(f"mesh file not found: {obj!r}")
+    polyline = "polyline" in mesh_spec
+    if polyline:
+        _check_builds("initial_mesh", _build_geometry, mesh_spec)
+    constraint = _check_builds("constraint", constraint_from_spec, config["constraint"])
+    _validate_analysis(config.get("analysis", {}), constraint, polyline)
     if config.get("solver") is not None:
         _check_builds("solver", lambda spec: SolveParams(**spec), config["solver"])
     if "expect" in config:
@@ -318,7 +325,7 @@ def _build_geometry(spec):
         return _BUILTIN_SAMPLERS[spec["builtin"]](**spec.get("params", {}))
     if "obj" in spec:
         return read_obj(spec["obj"])
-    return Polyline(np.asarray(spec["polyline"], dtype=float))
+    return Polyline(spec["polyline"])
 
 
 def _config_hash(config: dict) -> str:
@@ -467,17 +474,42 @@ def _doubling(geometry, constraint, check, block):
     }
 
 
+def _base_point(value, polyline=False):
+    """3 finite numbers, or 2 for a polyline, whose points may lie in the plane."""
+    p = np.asarray(value, dtype=float)
+    if p.shape not in ([(2,), (3,)] if polyline else [(3,)]) or not np.isfinite(p).all():
+        raise ValueError("base_point must be 3 finite numbers"
+                         + (", or 2 for a polyline in the plane" if polyline else ""))
+    return p
+
+
+def _check_monotonicity(block, constraint, polyline):
+    _base_point(block["base_point"], polyline)
+    as_radii(block["radii"])
+
+
+def _check_fermi(block, constraint, polyline):
+    # fermi.build_chart: this module's binding is for the stage's call alone
+    fermi.build_chart(constraint, _base_point(block["base_point"]), block.get("r0", 0.4))
+
+
+def _check_doubling(block, constraint, polyline):
+    Plane(block["plane_point"], block["plane_normal"])
+
+
 # The pipeline in run order: (stage, its analysis block, stage function). The
 # block is None for a stage with no analysis block (solve reads `solver`,
 # verify always runs), bool for a true/false flag, and otherwise the keys
-# the block must carry and the keys it may carry.
+# the block must carry, the keys it may carry, and the check of its values
+# that validation runs: check(block, constraint, whether the geometry is a
+# polyline) raises ValueError or TypeError on a value the stage cannot use.
 _STAGES = (
     ("solve", None, _solve),
     ("verify", None, _verify),
     ("stability", bool, _stability),
-    ("monotonicity", (("base_point", "radii"), ()), _monotonicity),
-    ("fermi", (("base_point",), ("r0",)), _fermi),
-    ("doubling", (("plane_point", "plane_normal"), ()), _doubling),
+    ("monotonicity", (("base_point", "radii"), (), _check_monotonicity), _monotonicity),
+    ("fermi", (("base_point",), ("r0",), _check_fermi), _fermi),
+    ("doubling", (("plane_point", "plane_normal"), (), _check_doubling), _doubling),
 )
 
 

@@ -9,7 +9,7 @@ constrained vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,6 +86,13 @@ def finite_difference_variation(mesh: TriangleMesh, X, step: float) -> float:
     return (ap - am) / (2.0 * step)
 
 
+def _violations(mesh: TriangleMesh, constraint):
+    """|phi| / max(|grad phi|, 1) at the constrained vertices, in vertex order:
+    to first order at most their distance to N."""
+    x = mesh.vertices[mesh.constrained]
+    return np.abs(constraint.phi(x)) / np.maximum(np.linalg.norm(constraint.grad(x), axis=1), 1.0)
+
+
 def free_boundary_residual(mesh: TriangleMesh, constraint, on_tol=1e-6):
     """Max angle (radians) between the conormal and the constraint normal line.
 
@@ -94,10 +101,7 @@ def free_boundary_residual(mesh: TriangleMesh, constraint, on_tol=1e-6):
     idx = np.nonzero(mesh.constrained)[0]
     if len(idx) == 0:
         return 0.0, {}
-    scale = 1.0 + mesh.diameter()
-    phis = np.abs(constraint.phi(mesh.vertices[idx]))
-    grad_norm = np.linalg.norm(constraint.grad(mesh.vertices[idx]), axis=1)
-    off = idx[phis > on_tol * scale * np.maximum(grad_norm, 1.0)]
+    off = idx[_violations(mesh, constraint) > on_tol * (1.0 + mesh.diameter())]
     if len(off):
         raise ValueError(f"boundary vertex off constraint: {off.tolist()}")
     # corners where the constrained arc meets a pinned boundary arc have a
@@ -112,6 +116,15 @@ def free_boundary_residual(mesh: TriangleMesh, constraint, on_tol=1e-6):
         return 0.0, {}
     angles = np.arccos(np.minimum(1.0, c))
     return float(angles.max()), dict(zip(idx[check].tolist(), angles.tolist()))
+
+
+def _residual_or_inf(mesh: TriangleMesh, constraint, on_tol=1e-6):
+    """free_boundary_residual's angle, or inf where it is undefined: a
+    constrained vertex off N or without a boundary conormal."""
+    try:
+        return free_boundary_residual(mesh, constraint, on_tol)[0]
+    except ValueError:
+        return np.inf
 
 
 def area_gradient(mesh: TriangleMesh, constraint) -> VertexField:
@@ -179,10 +192,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         gnorm = float(np.linalg.norm(d, axis=1).max())
         slope = float(np.einsum("ij,ij->", g, d))
         if it % ORTHO_CHECK_EVERY == 0 or gnorm <= grad_tol:
-            try:
-                ortho, _ = free_boundary_residual(mesh, constraint)
-            except ValueError:
-                ortho = np.inf
+            ortho = _residual_or_inf(mesh, constraint)
         grad_history.append(gnorm)
         ortho_history.append(ortho)
         if gnorm <= grad_tol and ortho <= ORTHO_TOL:
@@ -221,10 +231,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         mesh, area, min_edge = cand, cand_area, cand_min_edge
         area_history.append(area)
 
-    try:
-        final_ortho, _ = free_boundary_residual(mesh, constraint)
-    except ValueError:
-        final_ortho = np.inf
+    final_ortho = _residual_or_inf(mesh, constraint)
     final_g = area_gradient(mesh, constraint).values
     final_gnorm = float(
         (np.linalg.norm(final_g, axis=1) / np.maximum(mesh.vertex_areas(), 1e-300)).max()
@@ -248,19 +255,8 @@ def verify_minimal(mesh: TriangleMesh, constraint):
     interior = ~mesh.is_boundary_vertex()
     H = mean_curvature_vector(mesh).values
     max_h = float(np.linalg.norm(H[interior], axis=1).max()) if interior.any() else 0.0
-    idx = np.nonzero(mesh.constrained)[0]
-    max_phi = 0.0
-    if len(idx):
-        gn = np.linalg.norm(constraint.grad(mesh.vertices[idx]), axis=1)
-        max_phi = float(
-            np.max(np.abs(constraint.phi(mesh.vertices[idx])) / np.maximum(gn, 1.0))
-        )
-    try:
-        ortho, _ = free_boundary_residual(
-            mesh, constraint, on_tol=max(1e-6, 2 * max_phi)
-        )
-    except ValueError:
-        ortho = np.inf
+    max_phi = float(_violations(mesh, constraint).max(initial=0.0))
+    ortho = _residual_or_inf(mesh, constraint, on_tol=max(1e-6, 2 * max_phi))
     passes = max_h <= H_TOL and ortho <= ORTHO_TOL
     return {
         "max_interior_H": max_h,

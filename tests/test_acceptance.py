@@ -2,13 +2,10 @@
 PASS/FAIL line. Expected values come from closed forms or independent
 numerical oracles, never from the code under test."""
 
-import json
-import tarfile
 import time
 import warnings
 
 import numpy as np
-import pytest
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
@@ -19,7 +16,6 @@ from fbms.fermi import GridSpec, build_chart, graph_extract, neumann_residual
 from fbms.mesh import (
     mean_curvature_vector,
     second_fundamental_norm,
-    total_area,
     vertex_normals,
 )
 from fbms.monotonicity import (
@@ -39,7 +35,7 @@ from fbms.samplers import (
     spherical_cap_graph,
     strip_on_plane,
 )
-from fbms.scenarios import builtin_scenarios, perturbed_critical_catenoid
+from fbms.scenarios import perturbed_critical_catenoid
 from fbms.stability import (
     assemble_stability_form,
     lowest_eigenpair,

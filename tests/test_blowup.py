@@ -13,7 +13,7 @@ from fbms.blowup import (
     rescale,
 )
 from fbms.constraints import Plane, Sphere, Torus
-from fbms.mesh import TriangleMesh, total_area
+from fbms.mesh import total_area
 from fbms.samplers import critical_catenoid, grid_patch, strip_on_plane
 from fbms.variation import free_boundary_residual
 

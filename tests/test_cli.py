@@ -228,6 +228,18 @@ def test_run_scenario_polyline_oracle(tmp_path):
     assert payload["profile"]["constants"]["k"] == 1.0
 
 
+def test_planar_polyline_config_matches_its_copy_in_space(tmp_path):
+    # a polyline config may give its points and base point in the plane z = 0
+    cfg = builtin_scenarios()["radial-segment-k1"]
+    mono = dict(cfg["analysis"]["monotonicity"], base_point=[1.0, 0.0])
+    planar = dict(cfg, initial_mesh={"polyline": [[0.0, 0.0], [1.0, 0.0]]},
+                  analysis={"monotonicity": mono})
+    assert run_scenario(planar, tmp_path / "plane").all_passed()
+    run_scenario(cfg, tmp_path / "space")
+    for name in ("density.json", "density.csv"):
+        assert (tmp_path / "plane" / name).read_bytes() == (tmp_path / "space" / name).read_bytes()
+
+
 def test_run_scenario_surfaces_stage_failure(tmp_path):
     cfg = json.loads(json.dumps(builtin_scenarios()["radial-segment-k1"]))
     cfg["analysis"]["monotonicity"]["radii"] = [0.1, 0.6]  # beyond R0/2
@@ -308,6 +320,11 @@ def _disk_with(constraint=None, **analysis):
                 analysis=dict(_DISK["analysis"], **analysis))
 
 
+def _mono(**values):
+    """disk-in-ball's monotonicity block with some values changed."""
+    return dict(_DISK["analysis"]["monotonicity"], **values)
+
+
 BAD_CONFIGS = {
     "solver-key": dict(_STRIP, solver={"max_iterations": 10, "max_iters": 5}),
     # max_iterations is the one solver setting; the descent's others are fixed
@@ -367,6 +384,28 @@ BAD_CONFIGS = {
                                    "major_radius": 2.0, "minor_radius": 0.0}),
     "graph-unknown-coefficient": _disk_with({"type": "graph",
                                              "coefficients": {"cxx": 0.2, "cx2": 1.0}}),
+    # the name is the run's directory under --out: one path component
+    "name-number": dict(_STRIP, name=5),
+    "name-escapes-out": dict(_STRIP, name="../escaped"),
+    "name-dot": dict(_STRIP, name="."),
+    "name-backslash": dict(_STRIP, name="a\\b"),
+    "builtin-list": dict(_STRIP, initial_mesh={"builtin": ["disk"]}),
+    "obj-number": dict(_STRIP, initial_mesh={"obj": 5}),
+    "polyline-one-point": dict(_SEGMENT, initial_mesh={"polyline": [[0.0, 0.0, 0.0]]}),
+    # analysis values are checked before any stage runs
+    "monotonicity-radii-string": _disk_with(monotonicity=_mono(radii="x")),
+    "monotonicity-one-radius": _disk_with(monotonicity=_mono(radii=[0.1])),
+    "monotonicity-radii-decreasing": _disk_with(monotonicity=_mono(radii=[0.2, 0.1])),
+    "monotonicity-radius-zero": _disk_with(monotonicity=_mono(radii=[0.0, 0.1])),
+    "monotonicity-radius-nan": _disk_with(monotonicity=_mono(radii=[0.1, float("nan")])),
+    "monotonicity-base-2d": _disk_with(monotonicity=_mono(base_point=[1, 0])),
+    "monotonicity-base-inf": _disk_with(monotonicity=_mono(base_point=[float("inf"), 0, 0])),
+    "fermi-base-2d": _disk_with(fermi=dict(_DISK["analysis"]["fermi"], base_point=[1, 0])),
+    "fermi-base-off-sphere": _disk_with(fermi=dict(_DISK["analysis"]["fermi"],
+                                                   base_point=[0.5, 0, 0])),
+    "fermi-r0-negative": _disk_with(fermi=dict(_DISK["analysis"]["fermi"], r0=-0.4)),
+    "doubling-zero-normal": dict(_STRIP, analysis=dict(_STRIP["analysis"], doubling={
+        "plane_point": [0, 0, 0], "plane_normal": [0, 0, 0]})),
 }
 
 
@@ -378,7 +417,7 @@ def test_cli_run_rejects_bad_nested_config(tmp_path, capsys, case):
     assert cli_main(["run", str(path), "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]  # nothing written
 
 
 def test_cli_run_has_no_jobs_option(tmp_path, capsys):

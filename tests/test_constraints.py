@@ -15,6 +15,9 @@ from fbms.constraints import (
     constraint_from_spec,
     estimate_kappa,
 )
+from fbms.fermi import build_chart
+from fbms.monotonicity import density_profile
+from fbms.samplers import disk
 
 PRIMITIVES = {
     "sphere": Sphere((0, 0, 0), 1.0),
@@ -155,6 +158,25 @@ def test_normal_second_form_rejects_bad_input():
         s.normal_second_form(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]))
     with pytest.raises(ValueError):
         s.normal_second_form(np.array([1.5, 0, 0]), np.array([0.0, 1.0, 0]))
+
+
+# each caller of LevelSetConstraint.check_on, with its base point or point
+# on N in the last argument
+ON_N_CALLERS = {
+    "density_profile": lambda N, p: density_profile(disk(1.0, 4, 12), N, p, [0.1, 0.2]),
+    "build_chart": lambda N, p: build_chart(N, p, 0.2),
+    "projectors": lambda N, p: N.projectors(p),
+    # batched: only the second row is off N
+    "normal_second_form": lambda N, p: N.normal_second_form(
+        np.array([[1.0, 0.0, 0.0], p]), np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])),
+}
+
+
+@pytest.mark.parametrize("p", [(0.5, 0.0, 0.0), (np.inf, 0.0, 0.0)], ids=["inside", "infinite"])
+@pytest.mark.parametrize("caller", sorted(ON_N_CALLERS))
+def test_callers_reject_a_point_off_the_constraint(caller, p):
+    with pytest.raises(ValueError, match="^point is not on the constraint surface$"):
+        ON_N_CALLERS[caller](Sphere((0, 0, 0), 1.0), np.array(p))
 
 
 def test_projectors_decompose_identity():

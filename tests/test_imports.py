@@ -1,0 +1,60 @@
+"""Every module of the package and of its tests uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted([*(ROOT / "src" / "fbms").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def _dotted(node):
+    """'a.b.c' for the expression a.b.c, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def unused_imports(source):
+    """Names a module imports and never reads, in order of import.
+
+    `import a.b` counts as used only where the expression a.b (or one that
+    extends it) appears. `from __future__ import ...` and the names a module
+    lists in __all__ are exempt."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = set()
+    for node in ast.walk(tree):
+        name = _dotted(node) if isinstance(node, (ast.Name, ast.Attribute)) else None
+        if name:
+            parts = name.split(".")
+            used.update(".".join(parts[:k]) for k in range(1, len(parts) + 1))
+    exported = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used and name not in exported]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.relative_to(ROOT).as_posix() for p in MODULES])
+def test_module_uses_its_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_imports_sees_dotted_and_exported_names():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport json\nimport fbms.mesh\nimport fbms.cli\n"
+              "from math import pi, tau\n__all__ = ['tau']\n"
+              "os.path.join(fbms.mesh.x, pi)\n")
+    assert unused_imports(source) == ["json", "fbms.cli"]

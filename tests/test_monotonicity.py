@@ -38,6 +38,27 @@ def test_polyline_segment_mass_exact():
     assert out.mass == 0.0
 
 
+@pytest.mark.parametrize("r", default_radius_grid(0.4))
+def test_radial_segment_mass_is_exactly_the_radius(r):
+    # the segment from the base point along its own line: the ball holds
+    # the arclengths [0, r] of it, with nothing to round
+    segment = Polyline(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    out = mass_in_ball(segment, np.array([1.0, 0.0, 0.0]), r)
+    assert out.mass == r
+    assert out.clipped_triangle_count == 1
+
+
+def test_planar_polyline_profile_equals_its_padded_copy():
+    planar = np.array([[0.2, -0.3], [1.0, 0.0], [0.5, 0.6], [0.9, 0.9]])
+    padded = np.hstack([planar, np.zeros((len(planar), 1))])
+    N = Sphere((0, 0, 0), 1.0)
+    radii = default_radius_grid(0.4, levels=4)
+    flat = density_profile(Polyline(planar), N, np.array([1.0, 0.0]), radii)
+    space = density_profile(Polyline(padded), N, np.array([1.0, 0.0, 0.0]), radii)
+    assert flat.to_json_dict() == space.to_json_dict()
+    assert all(d > 0.0 for d in flat.deficits)
+
+
 def test_disk_mass_quadratic_in_radius():
     m = disk(1.0, 24, 72)
     p = np.zeros(3)

@@ -2,7 +2,10 @@
 references (brute-force dicts and the per-vertex / per-edge loops they
 replace)."""
 
+import hashlib
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,10 +27,12 @@ from fbms.samplers import (
     grid_patch,
     half_catenoid,
     half_disk,
+    halfplane_patch,
     icosphere,
     spherical_cap_graph,
     strip_on_plane,
 )
+from fbms.scenarios import perturbed_critical_catenoid
 from fbms.variation import _max_aspect_ratio
 
 SAMPLERS = {
@@ -105,6 +110,43 @@ def test_topology_matches_dict_oracle(name, seed):
     assert [topo.neighbors[ptr[i]:ptr[i + 1]].tolist() for i in range(mesh.n_vertices)] == rings
     assert topo.edges.tolist() == [list(e) for e in edges]
     assert validate_mesh(mesh) == []
+
+
+# sha256 of the vertices, faces and constrained flags of each builtin
+# sampler at the catalog's params (critical_catenoid at the density
+# benchmark's), of half_disk, and of an unconstrained grid_patch, as the
+# per-vertex loops that the one grid triangulation replaced built them
+PINNED_SAMPLERS = {
+    "strip_on_plane": (lambda: strip_on_plane(n=12),
+                       "b9b0eee694dbb470882b8c2f95680c95df7fdd471dc972148f2e12ad13753b8a"),
+    "disk": (lambda: disk(radius=1.0, n_radial=20, n_angular=48),
+             "7c2775d7ebdc7050f0a956f7451913e7b8697bb5bdf1a16dd8abf48158ea024c"),
+    "critical_catenoid": (lambda: critical_catenoid(nt=64, ntheta=64),
+                          "6a5c8e3432c56b437bae75595b3790d4910a6c7497d401783bae806edc66f051"),
+    "perturbed_critical_catenoid": (
+        lambda: perturbed_critical_catenoid(nt=64, ntheta=64),
+        "a798ab4a0d5888eac91f8a0355045946ea097a94f973ba2976cc153573d6b5d8"),
+    "half_catenoid": (lambda: half_catenoid(t_max=1.0, nt=32, ntheta=96),
+                      "2acd0b916a21c5ff9d6723e8e982d54e82495bae0b3b1c199bf07afa89476439"),
+    "spherical_cap_graph": (lambda: spherical_cap_graph(bulge=0.1, n_radial=16, n_angular=48),
+                            "d9d0c2ac1f7a255b8c9a1da33d5822f16773024b2fa43b47ddc5d840e8f03811"),
+    "halfplane_patch": (lambda: halfplane_patch(n=64),
+                        "fd0d8addabc17df849d70a6a0fb2fcb9e53e244478a793b4e1eb0c03c1dd0f43"),
+    "half_disk": (lambda: half_disk(1.0, 16, 48),
+                  "1e4f8621e085bdf55ffc34680cc4975a5f8e696128393d024dae9a49b187102f"),
+    "grid_patch": (lambda: grid_patch(5, 3),
+                   "dd7e773eda2d49e0bf8d3e7e86d2519f4525e2b2204ec70c0f3f85e9d2423942"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SAMPLERS))
+def test_sampler_output_is_pinned(name):
+    build, want = PINNED_SAMPLERS[name]
+    mesh = build()
+    digest = hashlib.sha256()
+    for arr in (mesh.vertices, mesh.faces, mesh.constrained):
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == want
 
 
 def test_with_vertices_shares_topology():
