@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import Plane, Sphere
-from .mesh import TriangleMesh, VertexField, validate_mesh
+from .mesh import TriangleMesh, validate_mesh
 from .monotonicity import mass_in_ball
 from .variation import free_boundary_residual
 
@@ -69,7 +69,7 @@ def point_pick(mesh: TriangleMesh, curvature, center, radius):
     that the winner still maximizes the score after re-centering the ball at
     itself with the reduced radius.
     """
-    vals = curvature.values if isinstance(curvature, VertexField) else np.asarray(curvature, dtype=float)
+    vals = np.asarray(curvature, dtype=float)
     center = np.asarray(center, dtype=float)
     d = np.linalg.norm(mesh.vertices - center, axis=1)
     inside = d < radius
@@ -131,8 +131,7 @@ def curvature_survey(rows, ball, area_bound=None):
     out = []
     for row in rows:
         mesh = row["mesh"]
-        vals = row["curvature"]
-        vals = vals.values if isinstance(vals, VertexField) else np.asarray(vals, dtype=float)
+        vals = np.asarray(row["curvature"], dtype=float)
         d = np.linalg.norm(mesh.vertices - p, axis=1)
         inside = d < R
         sup_norm = float(np.max(vals[inside] * (R - d[inside]))) if inside.any() else 0.0

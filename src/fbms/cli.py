@@ -22,9 +22,6 @@ from .scenarios import (
     validate_config,
 )
 
-BUNDLE_EXCLUDE = {"timings.json"}
-
-
 def _load_config(ref: str) -> dict:
     catalog = builtin_scenarios()
     if ref in catalog:
@@ -88,9 +85,7 @@ def emit_report_bundle(manifest_path) -> Path:
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
     out_dir = manifest_path.parent
-    members = ["manifest.json"] + sorted(
-        name for name in manifest["outputs"] if name not in BUNDLE_EXCLUDE
-    )
+    members = ["manifest.json"] + sorted(manifest["outputs"])
     missing = [m for m in members if not (out_dir / m).exists()]
     if missing:
         raise FileNotFoundError(

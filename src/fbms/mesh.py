@@ -10,29 +10,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 COT_CLAMP = 1e4  # cotangent weight clamp for near-degenerate triangles
 DEGENERATE_AREA_REL = 1e-14
-
-
-@dataclass(frozen=True)
-class VertexField:
-    """One scalar or one 3-vector per vertex."""
-
-    values: np.ndarray
-    kind: str  # "scalar" | "vector"
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if self.kind not in ("scalar", "vector"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("vertex field has non-finite entries")
 
 
 class Topology:
@@ -53,6 +37,8 @@ class Topology:
       boundary_mask     (n,) vertex lies on a boundary edge
       corner            (n,) constrained vertex where the constrained arc
                         meets an unconstrained (pinned) boundary arc
+      pinned            (n,) boundary vertex held fixed: unconstrained, or a corner
+      sliding           (n,) constrained vertex that slides on N: not a corner
       neighbor_ptr, neighbors   1-ring in CSR form, neighbors ascending
       boundary_loops    vertex lists (see _boundary_loops), or None when the
                         boundary edges are not disjoint closed loops
@@ -80,6 +66,8 @@ class Topology:
         mixed = ends[:, 0] != ends[:, 1]
         self.corner = np.zeros(n, dtype=bool)
         self.corner[self.boundary_edges[mixed][ends[mixed]]] = True
+        self.pinned = (self.boundary_mask & ~constrained) | self.corner
+        self.sliding = constrained & ~self.corner
 
         both = np.concatenate([self.edges, self.edges[:, ::-1]])
         both = both[np.argsort(both[:, 0] * n + both[:, 1])]
@@ -87,8 +75,7 @@ class Topology:
         self.neighbor_ptr = np.concatenate(
             [[0], np.cumsum(np.bincount(both[:, 0], minlength=n))]
         )
-        for arr in vars(self).values():
-            arr.setflags(write=False)
+        _read_only(*vars(self).values())
         self.boundary_loops = _boundary_loops(self.boundary_edges)
 
 
@@ -130,8 +117,10 @@ class TriangleMesh:
 
     `constrained` flags boundary vertices whose position must satisfy the
     constraint equation; it is carried by the mesh but interpreted elsewhere.
-    Connectivity (`topology`), the per-face geometry of the vertex positions
-    and the cotangent Laplacian are computed on first use and cached.
+    Since the vertices are immutable, the per-mesh quantities are computed on
+    first use and cached on the mesh as read-only arrays: the connectivity
+    (`topology`), the per-face geometry, the vertex normals and the cotangent
+    Laplacian.
     """
 
     def __init__(self, vertices, faces, constrained=None):
@@ -149,12 +138,7 @@ class TriangleMesh:
         self.constrained = np.asarray(constrained, dtype=bool).copy()
         if len(self.constrained) != n:
             raise ValueError("constrained flags must match vertex count")
-        self.vertices.setflags(write=False)
-        self.faces.setflags(write=False)
-        self.constrained.setflags(write=False)
-        self._topology = None
-        self._frame = None
-        self._laplacian = None
+        _read_only(self.vertices, self.faces, self.constrained)
 
     # -- basic combinatorics -------------------------------------------------
 
@@ -166,11 +150,9 @@ class TriangleMesh:
     def n_faces(self):
         return len(self.faces)
 
-    @property
+    @cached_property
     def topology(self) -> Topology:
-        if self._topology is None:
-            self._topology = Topology(self.faces, self.constrained)
-        return self._topology
+        return Topology(self.faces, self.constrained)
 
     def boundary_edges(self):
         """(B, 2) directed boundary edges (u, v), each on exactly one face."""
@@ -195,35 +177,50 @@ class TriangleMesh:
     def with_vertices(self, vertices):
         """Same connectivity, new positions; the topology is shared."""
         m = TriangleMesh(vertices, self.faces, self.constrained)
-        m._topology = self._topology
+        m.topology = self.topology
         return m
 
     # -- metric quantities ---------------------------------------------------
 
-    def _face_frame(self):
+    @cached_property
+    def _frame(self):
         """Per face, as (3, m) component arrays from one gather of the vertex
         coordinates: the sides opposite corners 0, 1, 2 (x2 - x1, x0 - x2,
         x1 - x0), the raw normal (x1 - x0) x (x2 - x0), and its length, twice
-        the face area. Cached; the vertices are immutable."""
-        if self._frame is None:
-            x = np.take(np.ascontiguousarray(self.vertices.T), self.faces.T, axis=1)
-            sides = (x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0])
-            normals = _cross(sides[2], x[:, 2] - x[:, 0])
-            self._frame = (sides, normals, _norm(normals))
-        return self._frame
+        the face area."""
+        x = np.take(np.ascontiguousarray(self.vertices.T), self.faces.T, axis=1)
+        sides = (x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0])
+        normals = _cross(sides[2], x[:, 2] - x[:, 0])
+        lengths = _norm(normals)
+        _read_only(*sides, normals, lengths)
+        return sides, normals, lengths
+
+    @cached_property
+    def _normals(self):
+        """(n, 3) unit vertex normals; see vertex_normals."""
+        acc = _scatter_corners(self, np.tile(self._frame[1], 3))  # area-weighted
+        norms = np.linalg.norm(acc, axis=1)
+        bad = np.nonzero(norms < 1e-12)[0]
+        if len(bad):
+            raise ValueError(f"vertex normal undefined (fold/cusp) at vertices {bad.tolist()}")
+        return _read_only(acc / norms[:, None])
+
+    @cached_property
+    def _laplacian(self):
+        return _assemble_laplacian(self)
 
     def face_areas(self):
-        return 0.5 * self._face_frame()[2]
+        return 0.5 * self._frame[2]
 
     def face_normals(self):
         """(3, m) unit normals (x1 - x0) x (x2 - x0) / |.|, zero on a face of
         zero area."""
-        _, normals, lengths = self._face_frame()
+        _, normals, lengths = self._frame
         return normals / np.maximum(lengths, 1e-300)
 
     def edge_lengths(self):
         """(3, m) lengths of the sides (x0, x1), (x1, x2), (x2, x0) of each face."""
-        s0, s1, s2 = self._face_frame()[0]
+        s0, s1, s2 = self._frame[0]
         return np.stack([_norm(s2), _norm(s0), _norm(s1)])
 
     def vertex_areas(self):
@@ -248,6 +245,13 @@ def _scatter_corners(mesh, values):
     return np.stack([np.bincount(idx, v, minlength=mesh.n_vertices) for v in values], axis=1)
 
 
+def _read_only(*arrays):
+    """Marks the arrays read-only; returns the first."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays[0]
+
+
 def _cross(a, b):
     """a x b for (3, m) component arrays, rounded exactly as np.cross."""
     return np.stack([a[1] * b[2] - a[2] * b[1],
@@ -255,10 +259,15 @@ def _cross(a, b):
                      a[0] * b[1] - a[1] * b[0]])
 
 
+def _dot(a, b):
+    """Dot products of (3, m) component arrays, one per column."""
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
+
+
 def _norm(a):
     """Lengths of (3, m) component arrays, summed in the order of
     np.linalg.norm(axis=1) on the (m, 3) layout."""
-    return np.sqrt((a[0] * a[0] + a[1] * a[1]) + a[2] * a[2])
+    return np.sqrt(_dot(a, a))
 
 
 # -- validation ---------------------------------------------------------------
@@ -303,70 +312,59 @@ def validate_mesh(mesh: TriangleMesh) -> list[str]:
 # -- discrete operators -------------------------------------------------------
 
 
-def vertex_normals(mesh: TriangleMesh) -> VertexField:
-    """Area-weighted average of incident face normals, unit length."""
-    raw = mesh._face_frame()[1]  # already area-weighted
-    acc = _scatter_corners(mesh, np.tile(raw, 3))
-    norms = np.linalg.norm(acc, axis=1)
-    if np.any(norms < 1e-12):
-        bad = np.nonzero(norms < 1e-12)[0]
-        raise ValueError(f"vertex normal undefined (fold/cusp) at vertices {bad.tolist()}")
-    return VertexField(acc / norms[:, None], "vector")
+def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
+    """(n, 3) area-weighted averages of the incident face normals, unit
+    length. Built once per mesh and kept on it, read-only."""
+    return mesh._normals
 
 
 def cotangent_laplacian(mesh: TriangleMesh) -> sp.csr_matrix:
     """Positive semi-definite cotangent Laplacian, weights clamped for slivers.
 
-    Built once per mesh and kept on it, since the vertices are immutable; its
-    arrays are read-only, so the shared matrix cannot be changed in place."""
-    if mesh._laplacian is None:
-        L = _assemble_laplacian(mesh)
-        for arr in (L.data, L.indices, L.indptr):
-            arr.setflags(write=False)
-        mesh._laplacian = L
+    Built once per mesh and kept on it; its arrays are read-only, so the
+    shared matrix cannot be changed in place."""
     return mesh._laplacian
 
 
 def _assemble_laplacian(mesh: TriangleMesh) -> sp.csr_matrix:
-    v = mesh.vertices
-    f = mesh.faces
-    rows, cols, vals = [], [], []
-    for k in range(3):
-        i = f[:, k]
-        j = f[:, (k + 1) % 3]
-        o = f[:, (k + 2) % 3]  # vertex opposite edge (i, j)
-        a = v[i] - v[o]
-        b = v[j] - v[o]
-        cross = np.linalg.norm(np.cross(a, b), axis=1)
-        cross = np.maximum(cross, 1e-300)
-        cot = np.einsum("ij,ij->i", a, b) / cross
-        w = 0.5 * np.clip(cot, -COT_CLAMP, COT_CLAMP)
-        rows.extend([i, j])
-        cols.extend([j, i])
-        vals.extend([-w, -w])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_vertices,) * 2)
-    L = L + sp.diags(-np.asarray(L.sum(axis=1)).ravel())
-    return L.tocsr()
+    """The cotangent weights from the cached face frame, summed per edge.
+
+    Column c of `face_edges` is the side s_c opposite corner c + 2, and the
+    cotangent there is -(s_c . s_{c+1}) / |N|, with |N| twice the face area.
+    Half of it, clamped, is the face's share of the edge weight w; off the
+    diagonal L[u, v] = -w(u, v), and the diagonal makes each row sum to 0.
+    """
+    sides, _, lengths = mesh._frame
+    cot = -np.stack([_dot(sides[c], sides[(c + 1) % 3]) for c in range(3)], axis=1)
+    half = 0.5 * np.clip(cot / np.maximum(lengths, 1e-300)[:, None], -COT_CLAMP, COT_CLAMP)
+    topo = mesh.topology
+    w = np.bincount(topo.face_edges.ravel(), half.ravel(), minlength=len(topo.edges))
+    n = mesh.n_vertices
+    diag = np.bincount(topo.edges.ravel(), np.repeat(w, 2), minlength=n)
+    (u, v), i = topo.edges.T, np.arange(n)
+    L = sp.csr_matrix((np.concatenate([-w, -w, diag]),
+                       (np.concatenate([u, v, i]), np.concatenate([v, u, i]))), shape=(n, n))
+    L.eliminate_zeros()
+    _read_only(L.data, L.indices, L.indptr)
+    return L
 
 
-def mean_curvature_vector(mesh: TriangleMesh) -> VertexField:
+def mean_curvature_vector(mesh: TriangleMesh) -> np.ndarray:
     """Discrete mean curvature vector H (cotangent formula over lumped areas).
 
     At boundary vertices the same formula is returned; there the value carries
     the conormal contribution of the first variation rather than curvature.
     """
-    L = cotangent_laplacian(mesh)
     areas = mesh.vertex_areas()
-    H = -(L @ mesh.vertices) / areas[:, None]
-    return VertexField(H, "vector")
+    if not areas.all():
+        raise ValueError("zero lumped area at vertices "
+                         f"{np.nonzero(areas == 0)[0].tolist()}: no face of positive area uses them")
+    return -(cotangent_laplacian(mesh) @ mesh.vertices) / areas[:, None]
 
 
 def area_gradient_raw(mesh: TriangleMesh) -> np.ndarray:
     """Exact gradient of total discrete area with respect to vertex positions."""
-    sides = mesh._face_frame()[0]
+    sides = mesh._frame[0]
     nhat = mesh.face_normals()
     # d(face area)/d(x_k) = 0.5 * nhat x (side opposite corner k)
     return _scatter_corners(mesh, np.concatenate([0.5 * _cross(nhat, s) for s in sides], axis=1))
@@ -382,7 +380,7 @@ def second_fundamental_norm(mesh: TriangleMesh):
     vertices with fewer than 3 neighbors or whose u_j do not span the tangent
     plane (smallest singular value at most 1e-10).
     """
-    normals = vertex_normals(mesh).values
+    normals = vertex_normals(mesh)
     topo = mesh.topology
     n = mesh.n_vertices
     rows = np.repeat(np.arange(n), np.diff(topo.neighbor_ptr))
@@ -416,7 +414,7 @@ def second_fundamental_norm(mesh: TriangleMesh):
     s11 = (a * B[1][1] - b * B[0][1]) * inv_det
     sym = 0.5 * (s01 + s10)  # shape operator, symmetrized
     values = np.where(reliable, s00 * s00 + 2.0 * sym * sym + s11 * s11, 0.0)
-    return VertexField(values, "scalar"), np.nonzero(~reliable)[0].tolist()
+    return values, np.nonzero(~reliable)[0].tolist()
 
 
 def _conormals(mesh: TriangleMesh) -> np.ndarray:
@@ -447,7 +445,7 @@ def _conormals(mesh: TriangleMesh) -> np.ndarray:
                       for c in w.T], axis=1)
     idx = np.nonzero(count)[0]
     m = total[idx] / count[idx, None]
-    nu = vertex_normals(mesh).values[idx]
+    nu = vertex_normals(mesh)[idx]
     m = m - np.vecdot(m, nu)[:, None] * nu
     mn = np.sqrt(np.vecdot(m, m))
     if np.any(mn < 1e-12):

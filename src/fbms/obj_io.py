@@ -7,7 +7,8 @@ rejected. Each record type is parsed by one np.loadtxt call, and a malformed
 record raises ValueError as `file:line: reason`.
 
 Constrained boundary flags travel in a JSON sidecar of the form
-{"constrained": [vertex indices]}.
+{"constrained": [vertex indices]}; anything else, an index out of range or
+not an integer included, raises ValueError as `sidecar: reason`.
 """
 
 from __future__ import annotations
@@ -85,10 +86,24 @@ def read_obj(path) -> TriangleMesh:
             numbers.append(number)
     verts = _parse(path, *records["v"], faces=False)
     faces = _parse(path, *records["f"], faces=True) - 1
-    constrained = None
     sidecar = path.with_suffix(".constrained.json")
-    if sidecar.exists():
-        idx = json.loads(sidecar.read_text())["constrained"]
-        constrained = np.zeros(len(verts), dtype=bool)
-        constrained[idx] = True
+    constrained = _read_flags(sidecar, len(verts)) if sidecar.exists() else None
     return TriangleMesh(verts, faces, constrained)
+
+
+def _read_flags(sidecar, n):
+    """The (n,) constrained flags a sidecar lists by vertex index."""
+    try:
+        idx = json.loads(sidecar.read_text())["constrained"]
+    except (ValueError, KeyError, TypeError):  # not JSON, or no such key
+        idx = None
+    if not isinstance(idx, list):
+        raise ValueError(f'{sidecar.name}: expected {{"constrained": [vertex indices]}}')
+    # a bool is an int to Python, but no vertex index
+    bad = [i for i in idx if type(i) is not int or not 0 <= i < n]
+    if bad:
+        raise ValueError(f"{sidecar.name}: {json.dumps(bad[0])} is not a vertex index "
+                         f"in [0, {n})")
+    flags = np.zeros(n, dtype=bool)
+    flags[idx] = True
+    return flags

@@ -72,11 +72,10 @@ def _polar_mesh(radius, n_radial, angles, closed):
     return TriangleMesh(verts, faces, rim)
 
 
-def disk(radius=1.0, n_radial=16, n_angular=64, constrain_boundary=True):
+def disk(radius=1.0, n_radial=16, n_angular=64):
     """Flat disk in {z=0} centered at the origin; boundary on the circle."""
-    mesh = _polar_mesh(radius, n_radial, 2 * np.pi * np.arange(n_angular) / n_angular,
+    return _polar_mesh(radius, n_radial, 2 * np.pi * np.arange(n_angular) / n_angular,
                        closed=True)
-    return mesh if constrain_boundary else TriangleMesh(mesh.vertices, mesh.faces)
 
 
 def half_disk(radius=1.0, n_radial=16, n_angular=32):

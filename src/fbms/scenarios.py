@@ -65,7 +65,7 @@ def perturbed_critical_catenoid(nt=64, ntheta=64, amplitude=0.005, mode=3):
     window = np.exp(-(((np.abs(v[:, 2]) - 0.3 * zb) / (0.15 * zb)) ** 2))
     f = amplitude * np.cos(mode * theta) * window
     f[bnd] = 0.0
-    n = vertex_normals(mesh).values
+    n = vertex_normals(mesh)
     return mesh.with_vertices(v + f[:, None] * n)
 
 
@@ -322,10 +322,15 @@ def validate_config(config: dict) -> dict:
 
 def _build_geometry(spec):
     if "builtin" in spec:
-        return _BUILTIN_SAMPLERS[spec["builtin"]](**spec.get("params", {}))
-    if "obj" in spec:
-        return read_obj(spec["obj"])
-    return Polyline(spec["polyline"])
+        geometry = _BUILTIN_SAMPLERS[spec["builtin"]](**spec.get("params", {}))
+    elif "obj" in spec:
+        geometry = read_obj(spec["obj"])
+    else:
+        geometry = Polyline(spec["polyline"])
+    bad = np.nonzero(~np.isfinite(geometry.vertices).all(axis=1))[0]
+    if len(bad):
+        raise ValueError(f"non-finite coordinates at vertices {bad.tolist()}")
+    return geometry
 
 
 def _config_hash(config: dict) -> str:
@@ -343,7 +348,6 @@ class RunManifest:
     scenario: str
     scenario_hash: str
     seed: int
-    out_dir: str
     outputs: dict = field(default_factory=dict)  # filename -> sha256
     stage_pass: dict = field(default_factory=dict)
     stage_seconds: dict = field(default_factory=dict)
@@ -372,8 +376,8 @@ class RunManifest:
                             f"!= expected {want_termination!r}")
         return problems
 
-    def to_json_dict(self, with_timings=True):
-        d = {
+    def to_json_dict(self):
+        return {
             "version": self.version,
             "numpy_version": self.numpy_version,
             "scipy_version": self.scipy_version,
@@ -384,9 +388,6 @@ class RunManifest:
             "stage_pass": dict(sorted(self.stage_pass.items())),
             "failure": self.failure,
         }
-        if with_timings:
-            d["stage_seconds"] = dict(sorted(self.stage_seconds.items()))
-        return d
 
 
 def _write(path: Path, output) -> str:
@@ -448,7 +449,7 @@ def _fermi(geometry, constraint, check, block):
     # graph half-plane: the chart's inward t-axis first, then the boundary
     # tangent; u then measures deviation from orthogonality
     nearest = int(np.argmin(np.linalg.norm(geometry.vertices - p, axis=1)))
-    nu = vertex_normals(geometry).values[nearest]
+    nu = vertex_normals(geometry)[nearest]
     bt = np.cross(nu, n)
     bt /= np.linalg.norm(bt)
     w1 = np.array([-1.0, 0.0, 0.0])
@@ -463,7 +464,7 @@ def _fermi(geometry, constraint, check, block):
 
 def _doubling(geometry, constraint, check, block):
     doubled = reflect_double(geometry, (block["plane_point"], block["plane_normal"]))
-    H = mean_curvature_vector(doubled).values
+    H = mean_curvature_vector(doubled)
     interior = ~doubled.is_boundary_vertex()
     max_h = float(np.linalg.norm(H[interior], axis=1).max()) if interior.any() else 0.0
     return max_h <= 0.1, {
@@ -525,7 +526,6 @@ def run_scenario(config: dict, out_dir) -> RunManifest:
         scenario=config["name"],
         scenario_hash=_config_hash(config),
         seed=config["seed"],
-        out_dir=str(out),
         expect=config.get("expect"),
     )
     stage = "setup"
@@ -551,6 +551,6 @@ def run_scenario(config: dict, out_dir) -> RunManifest:
         manifest.failure = {"stage": stage, "error": str(exc)}
         manifest.outputs["failure.json"] = _write(out / "failure.json", manifest.failure)
 
-    _write(out / "manifest.json", manifest.to_json_dict(with_timings=False))
+    _write(out / "manifest.json", manifest.to_json_dict())
     _write(out / "timings.json", {"stage_seconds": manifest.stage_seconds})
     return manifest

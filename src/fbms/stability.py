@@ -24,7 +24,6 @@ import scipy.sparse.linalg as spla
 
 from .mesh import (
     TriangleMesh,
-    VertexField,
     cotangent_laplacian,
     second_fundamental_norm,
     vertex_normals,
@@ -65,7 +64,7 @@ class StabilityForm:
 @dataclass
 class StabilityReport:
     lambda_min: float
-    eigenfunction: VertexField
+    eigenfunction: np.ndarray
     stable: bool
     residual: float
 
@@ -75,7 +74,7 @@ class StabilityReport:
             "stable": bool(self.stable),
             "tol": STABILITY_TOL,
             "residual": self.residual,
-            "eigenfunction": [float(v) for v in self.eigenfunction.values],
+            "eigenfunction": [float(v) for v in self.eigenfunction],
         }
 
 
@@ -83,7 +82,7 @@ def _boundary_second_form_values(mesh: TriangleMesh, constraint):
     """Constraint second form in the surface-normal direction, per constrained
     boundary vertex, evaluated at the projected foot point."""
     idx = np.nonzero(mesh.constrained)[0]
-    nu = vertex_normals(mesh).values[idx]
+    nu = vertex_normals(mesh)[idx]
     feet = constraint.project(mesh.vertices[idx])
     nhat = constraint.unit_normal(feet)
     # the surface normal is tangent to N only up to the orthogonality
@@ -120,7 +119,7 @@ def assemble_stability_form(mesh: TriangleMesh, constraint, check=None) -> Stabi
         warnings.warn(
             f"unreliable |A|^2 at vertices {unreliable}", stacklevel=2
         )
-    potential = sp.diags(a2.values * areas, format="csr")
+    potential = sp.diags(a2 * areas, format="csr")
     bvals = np.zeros(n)
     idx, second = _boundary_second_form_values(mesh, constraint)
     if len(idx):
@@ -132,7 +131,7 @@ def assemble_stability_form(mesh: TriangleMesh, constraint, check=None) -> Stabi
 
 
 def quadratic_form_value(form: StabilityForm, f) -> float:
-    vals = f.values if isinstance(f, VertexField) else np.asarray(f, dtype=float)
+    vals = np.asarray(f, dtype=float)
     if vals.shape != (form.mass.shape[0],):
         raise ValueError("field length does not match the form")
     if not np.all(np.isfinite(vals)):
@@ -181,7 +180,7 @@ def lowest_eigenpair(form: StabilityForm):
         x = -x
     lam = float(x @ (A @ x))
     res = np.linalg.norm(A @ x - lam * (m * x)) / np.linalg.norm(m * x)
-    return lam, VertexField(x, "scalar"), float(res)
+    return lam, x, float(res)
 
 
 def is_stable(mesh: TriangleMesh, constraint, check=None) -> StabilityReport:

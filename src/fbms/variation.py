@@ -15,7 +15,6 @@ import numpy as np
 
 from .mesh import (
     TriangleMesh,
-    VertexField,
     area_gradient_raw,
     _conormals,
     mean_curvature_vector,
@@ -71,7 +70,7 @@ def discrete_first_variation(mesh: TriangleMesh, X) -> float:
     conormal boundary term (the discrete position gradient at a boundary
     vertex is exactly that contribution).
     """
-    vals = X.values if isinstance(X, VertexField) else np.asarray(X, dtype=float)
+    vals = np.asarray(X, dtype=float)
     g = area_gradient_raw(mesh)
     return float(np.einsum("ij,ij->", vals, g))
 
@@ -80,7 +79,7 @@ def finite_difference_variation(mesh: TriangleMesh, X, step: float) -> float:
     """Central-difference oracle for discrete_first_variation."""
     if step <= 0:
         raise ValueError("step must be positive")
-    vals = X.values if isinstance(X, VertexField) else np.asarray(X, dtype=float)
+    vals = np.asarray(X, dtype=float)
     ap = total_area(mesh.with_vertices(mesh.vertices + step * vals))
     am = total_area(mesh.with_vertices(mesh.vertices - step * vals))
     return (ap - am) / (2.0 * step)
@@ -106,16 +105,13 @@ def free_boundary_residual(mesh: TriangleMesh, constraint, on_tol=1e-6):
         raise ValueError(f"boundary vertex off constraint: {off.tolist()}")
     # corners where the constrained arc meets a pinned boundary arc have a
     # conormal averaged over both regimes; they carry no orthogonality claim
-    n = constraint.unit_normal(mesh.vertices[idx])
-    check = ~mesh.topology.corner[idx]
-    eta = _conormals(mesh)[idx[check]]
+    sliding = np.nonzero(mesh.topology.sliding)[0]
+    eta = _conormals(mesh)[sliding]
     if np.isnan(eta).any():
         raise ValueError("constrained vertex without a boundary conormal")
-    c = np.abs(np.vecdot(eta, n[check]))
-    if not len(c):
-        return 0.0, {}
+    c = np.abs(np.vecdot(eta, constraint.unit_normal(mesh.vertices[sliding])))
     angles = np.arccos(np.minimum(1.0, c))
-    return float(angles.max()), dict(zip(idx[check].tolist(), angles.tolist()))
+    return float(angles.max(initial=0.0)), dict(zip(sliding.tolist(), angles.tolist()))
 
 
 def _residual_or_inf(mesh: TriangleMesh, constraint, on_tol=1e-6):
@@ -127,23 +123,22 @@ def _residual_or_inf(mesh: TriangleMesh, constraint, on_tol=1e-6):
         return np.inf
 
 
-def area_gradient(mesh: TriangleMesh, constraint) -> VertexField:
-    """Vertex gradient of area in the admissible class.
+def area_gradient(mesh: TriangleMesh, constraint) -> np.ndarray:
+    """(n, 3) vertex gradient of area in the admissible class.
 
-    Interior: full gradient. Constrained boundary: tangentially projected to
-    T N at the projected foot point. Unconstrained boundary: pinned (zero).
+    Interior: full gradient. Sliding boundary (`Topology.sliding`): projected
+    to T N at the projected foot point. Pinned boundary (`Topology.pinned`):
+    zero, the corners too, as their gradient mixes both arcs (O(h) spurious).
     """
     g = area_gradient_raw(mesh)
     topo = mesh.topology
-    # corners joining the constrained arc to a pinned arc stay pinned too:
-    # their discrete gradient mixes both regimes and is O(h) spurious
-    g[(topo.boundary_mask & ~mesh.constrained) | topo.corner] = 0.0
-    idx = np.nonzero(mesh.constrained & ~topo.corner)[0]
+    g[topo.pinned] = 0.0
+    idx = np.nonzero(topo.sliding)[0]
     if len(idx):
         feet = constraint.project(mesh.vertices[idx])
         n = constraint.unit_normal(feet)
         g[idx] -= np.einsum("ij,ij->i", g[idx], n)[:, None] * n
-    return VertexField(g, "vector")
+    return g
 
 
 def _max_aspect_ratio(mesh: TriangleMesh):
@@ -184,8 +179,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
 
     ortho = np.inf
     for it in range(1, params.max_iterations + 1):
-        gfield = area_gradient(mesh, constraint)
-        g = gfield.values
+        g = area_gradient(mesh, constraint)
         areas_v = np.maximum(mesh.vertex_areas(), 1e-300)
         d = -g / areas_v[:, None]  # lumped L2 gradient direction
         # stationarity on the mean-curvature scale: |grad| over lumped area
@@ -232,7 +226,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         area_history.append(area)
 
     final_ortho = _residual_or_inf(mesh, constraint)
-    final_g = area_gradient(mesh, constraint).values
+    final_g = area_gradient(mesh, constraint)
     final_gnorm = float(
         (np.linalg.norm(final_g, axis=1) / np.maximum(mesh.vertex_areas(), 1e-300)).max()
     )
@@ -253,7 +247,7 @@ def verify_minimal(mesh: TriangleMesh, constraint):
     """Certifies free boundary minimality: max interior |H| <= H_TOL and the
     orthogonality residual <= ORTHO_TOL, the solver's own bound."""
     interior = ~mesh.is_boundary_vertex()
-    H = mean_curvature_vector(mesh).values
+    H = mean_curvature_vector(mesh)
     max_h = float(np.linalg.norm(H[interior], axis=1).max()) if interior.any() else 0.0
     max_phi = float(_violations(mesh, constraint).max(initial=0.0))
     ortho = _residual_or_inf(mesh, constraint, on_tol=max(1e-6, 2 * max_phi))

@@ -220,7 +220,7 @@ def test_criterion_8_reflection_principle():
     doubled = reflect_double(hc, (np.zeros(3), np.array([0.0, 0, 1.0])))
     full = catenoid(-1.0, 1.0, 32, 48)
     dist, _ = cKDTree(full.vertices).query(doubled.vertices)
-    H = mean_curvature_vector(doubled).values
+    H = mean_curvature_vector(doubled)
     interior = ~doubled.is_boundary_vertex()
     seam = np.abs(doubled.vertices[:, 2]) < 1e-12
     seam_h = float(np.linalg.norm(H[seam & interior], axis=1).max())
@@ -250,7 +250,7 @@ def test_criterion_9_curvature_survey():
             rows.append({
                 "name": f"disk-r{radius}",
                 "mesh": m,
-                "curvature": np.sqrt(np.maximum(a2.values, 0.0)),
+                "curvature": np.sqrt(np.maximum(a2, 0.0)),
                 "stable": True,
                 "lambda_min": 0.0,
             })
@@ -259,7 +259,7 @@ def test_criterion_9_curvature_survey():
         rows.append({
             "name": "critical-catenoid",
             "mesh": cat,
-            "curvature": np.sqrt(np.maximum(a2c.values, 0.0)),
+            "curvature": np.sqrt(np.maximum(a2c, 0.0)),
             "stable": False,
             "lambda_min": -1.0,
         })
@@ -274,7 +274,7 @@ def test_criterion_9_curvature_survey():
         row2 = [{
             "name": "critical-catenoid-rescaled",
             "mesh": cat2,
-            "curvature": np.sqrt(np.maximum(a2c2.values, 0.0)),
+            "curvature": np.sqrt(np.maximum(a2c2, 0.0)),
             "stable": True,
             "lambda_min": 0.0,
         }]
@@ -296,7 +296,7 @@ def _disk_fermi_setup(mesh):
     n, e1, e2 = chart.frame
     p = chart.base
     nearest = int(np.argmin(np.linalg.norm(mesh.vertices - p, axis=1)))
-    nu = vertex_normals(mesh).values[nearest]
+    nu = vertex_normals(mesh)[nearest]
     # graph half-plane: the chart's inward t-axis first, then the boundary
     # tangent; the graph height u then measures deviation from orthogonality
     bt = np.cross(nu, n)

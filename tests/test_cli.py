@@ -1,8 +1,10 @@
 """Scenario configs, the run pipeline, and the command line front end."""
 
 import csv
+import functools
 import json
 import tarfile
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ import fbms.stability
 import fbms.variation
 from fbms.cli import emit_report_bundle
 from fbms.cli import main as cli_main
+from fbms.mesh import TriangleMesh
 from fbms.obj_io import write_obj
-from fbms.samplers import disk
+from fbms.samplers import disk, halfplane_patch
 from fbms.scenarios import (
     ScenarioError,
     builtin_scenarios,
@@ -145,6 +148,28 @@ def test_disk_in_ball_builds_one_laplacian(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
+def _count_builds(monkeypatch, name):
+    """The meshes whose cached property `name` is computed, once per build."""
+    built = []
+    cached = vars(TriangleMesh)[name]
+    counting = functools.cached_property(lambda mesh: built.append(mesh) or cached.func(mesh))
+    counting.__set_name__(TriangleMesh, name)
+    monkeypatch.setattr(TriangleMesh, name, counting)
+    return built
+
+
+def test_disk_in_ball_builds_each_mesh_quantity_once(tmp_path, monkeypatch):
+    # verify's conormals, the |A|^2 fit, the boundary second form and the
+    # Fermi stage all read the one mesh's vertex normals
+    names = ("topology", "_frame", "_normals", "_laplacian")
+    built = {name: _count_builds(monkeypatch, name) for name in names}
+    cfg = dict(builtin_scenarios()["disk-in-ball"], solver=None)
+    man = run_scenario(cfg, tmp_path / "disk")
+    assert man.all_passed()
+    assert set(man.stage_pass) == {"verify", "stability", "monotonicity", "fermi"}
+    assert {name: len(meshes) for name, meshes in built.items()} == dict.fromkeys(names, 1)
+
+
 def test_disk_in_ball_verifies_once(tmp_path, monkeypatch):
     # the stability form and the density profile take the verify stage's
     # result; every module that binds verify_minimal counts into one list
@@ -217,6 +242,34 @@ def test_malformed_obj_fails_setup_with_file_line(tmp_path):
     failure = json.loads((tmp_path / "out" / "failure.json").read_text())
     assert failure == {"stage": "setup", "error": "mesh.obj:4: could not convert 'abc'"}
     assert man.failure == failure and man.stage_pass == {}
+
+
+def test_non_finite_geometry_fails_setup(tmp_path):
+    obj = tmp_path / "mesh.obj"
+    obj.write_text("v 0 0 0\nv 1 0 nan\nv 0 1 0\nf 1 2 3\n")
+    nan_disk = {"builtin": "disk", "params": {"radius": float("nan"), "n_radial": 1,
+                                              "n_angular": 3}}
+    for name, mesh, bad in (("disk", nan_disk, [1, 2, 3]), ("obj", {"obj": str(obj)}, [1])):
+        man = run_scenario(dict(_DISK, initial_mesh=mesh), tmp_path / name)
+        assert man.failure == {"stage": "setup",
+                               "error": f"non-finite coordinates at vertices {bad}"}
+        assert man.stage_pass == {}
+
+
+def test_obj_vertex_without_face_fails_verify(tmp_path):
+    patch = halfplane_patch(4)
+    lone = TriangleMesh(np.vstack([patch.vertices, [[5.0, 5.0, 0.0]]]), patch.faces,
+                        np.append(patch.constrained, False))
+    write_obj(lone, tmp_path / "mesh.obj")
+    cfg = dict(builtin_scenarios()["halfplane-monotone"],
+               initial_mesh={"obj": str(tmp_path / "mesh.obj")})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        man = run_scenario(cfg, tmp_path / "out")
+    assert caught == []
+    assert man.failure == {"stage": "verify", "error": (
+        f"zero lumped area at vertices [{patch.n_vertices}]: "
+        "no face of positive area uses them")}
 
 
 def test_run_scenario_polyline_oracle(tmp_path):
@@ -392,6 +445,8 @@ BAD_CONFIGS = {
     "builtin-list": dict(_STRIP, initial_mesh={"builtin": ["disk"]}),
     "obj-number": dict(_STRIP, initial_mesh={"obj": 5}),
     "polyline-one-point": dict(_SEGMENT, initial_mesh={"polyline": [[0.0, 0.0, 0.0]]}),
+    "polyline-nan": dict(_SEGMENT, initial_mesh={
+        "polyline": [[0.0, 0.0, 0.0], [float("nan"), 0.0, 0.0]]}),
     # analysis values are checked before any stage runs
     "monotonicity-radii-string": _disk_with(monotonicity=_mono(radii="x")),
     "monotonicity-one-radius": _disk_with(monotonicity=_mono(radii=[0.1])),

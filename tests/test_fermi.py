@@ -226,7 +226,7 @@ def _scenario_halfplane(chart, mesh):
     """(w1, w2) as the scenario runner's Fermi stage picks them."""
     n, e1, e2 = chart.frame
     nearest = int(np.argmin(np.linalg.norm(mesh.vertices - chart.base, axis=1)))
-    bt = np.cross(vertex_normals(mesh).values[nearest], n)
+    bt = np.cross(vertex_normals(mesh)[nearest], n)
     bt /= np.linalg.norm(bt)
     return np.array([-1.0, 0.0, 0.0]), np.array([0.0, bt @ e1, bt @ e2])
 

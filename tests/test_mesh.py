@@ -63,7 +63,7 @@ def test_laplacian_symmetric_psd():
 
 def test_sphere_mean_curvature_magnitude_and_direction():
     m = icosphere(3)
-    H = mean_curvature_vector(m).values
+    H = mean_curvature_vector(m)
     mags = np.linalg.norm(H, axis=1)
     # unit sphere: |H| = 2, pointing toward the center
     assert abs(mags.mean() - 2.0) < 0.05
@@ -75,12 +75,12 @@ def test_sphere_second_fundamental_norm():
     m = icosphere(3)
     a2, unreliable = second_fundamental_norm(m)
     assert not unreliable
-    assert abs(np.median(a2.values) - 2.0) < 0.1
+    assert abs(np.median(a2) - 2.0) < 0.1
 
 
 def test_catenoid_interior_curvature_small():
     m = catenoid(-1.0, 1.0, 32, 64)
-    H = mean_curvature_vector(m).values
+    H = mean_curvature_vector(m)
     interior = ~m.is_boundary_vertex()
     assert np.linalg.norm(H[interior], axis=1).max() < 5e-3
 
@@ -136,7 +136,7 @@ def test_refine_propagates_constrained_flags():
 
 def test_vertex_normals_unit_length():
     m = catenoid(-1.0, 1.0, 12, 24)
-    n = vertex_normals(m).values
+    n = vertex_normals(m)
     assert np.allclose(np.linalg.norm(n, axis=1), 1.0)
 
 
@@ -240,11 +240,47 @@ def test_read_obj_error_names_file_line(tmp_path, record, reason):
     assert str(info.value) == f"mesh.obj:12: {reason}"
 
 
+@pytest.mark.parametrize("sidecar, reason", [
+    ('{"constrained": [-1]}', "-1 is not a vertex index in [0, 13)"),
+    ("{}", 'expected {"constrained": [vertex indices]}'),
+    ('{"constrained": [1,}', 'expected {"constrained": [vertex indices]}'),
+    ('{"constrained": [99]}', "99 is not a vertex index in [0, 13)"),
+    ('{"constrained": [1.5]}', "1.5 is not a vertex index in [0, 13)"),
+    ('{"constrained": [0, true]}', "true is not a vertex index in [0, 13)"),
+], ids=["negative", "no-key", "not-json", "out-of-range", "float", "bool"])
+def test_read_obj_rejects_malformed_sidecar(tmp_path, sidecar, reason):
+    path = tmp_path / "mesh.obj"
+    write_obj(disk(1.0, 1, 12), path)  # 13 vertices
+    path.with_suffix(".constrained.json").write_text(sidecar)
+    with pytest.raises(ValueError) as info:
+        read_obj(path)
+    assert str(info.value) == f"mesh.constrained.json: {reason}"
+
+
+def test_vertex_normals_are_built_once_per_mesh():
+    m = disk(1.0, 6, 18)
+    nu = vertex_normals(m)
+    assert vertex_normals(m) is nu
+    with pytest.raises(ValueError, match="read-only"):
+        nu[0] = 0.0  # shared, so read-only
+    moved = m.with_vertices(m.vertices + [0.0, 0.0, 1.0])
+    assert vertex_normals(moved) is not nu
+    assert np.array_equal(vertex_normals(moved), nu)  # translation-free
+
+
+def test_mean_curvature_names_vertices_no_face_uses():
+    m = grid_patch(2, 2)
+    lone = TriangleMesh(np.vstack([m.vertices, [[5.0, 5.0, 0.0]]]), m.faces)
+    with pytest.raises(ValueError, match=r"^zero lumped area at vertices \[9\]"):
+        mean_curvature_vector(lone)
+
+
 def test_cotangent_laplacian_is_built_once_per_mesh():
     m = disk(1.0, 6, 18)
     L = cotangent_laplacian(m)
     assert cotangent_laplacian(m) is L
-    assert not L.data.flags.writeable  # shared, so read-only
+    assert not (L.data.flags.writeable or L.indices.flags.writeable
+                or L.indptr.flags.writeable)  # shared, so read-only
     moved = m.with_vertices(1.5 * m.vertices)
     assert cotangent_laplacian(moved) is not L
     assert np.allclose(cotangent_laplacian(moved).toarray(), L.toarray())  # scale-free

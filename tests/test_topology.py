@@ -6,14 +6,17 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbms.blowup import reflect_double
 from fbms.mesh import (
+    COT_CLAMP,
     TriangleMesh,
     _conormals,
     area_gradient_raw,
+    cotangent_laplacian,
     refine,
     second_fundamental_norm,
     total_area,
@@ -104,6 +107,10 @@ def test_topology_matches_dict_oracle(name, seed):
     assert topo.boundary_loops == loops
     assert mesh.boundary_loops == loops
     assert set(np.nonzero(topo.corner)[0].tolist()) == corner
+    constrained = set(np.nonzero(mesh.constrained)[0].tolist())
+    on_boundary = {u for u, _, _, _ in boundary}
+    assert set(np.nonzero(topo.pinned)[0].tolist()) == (on_boundary - constrained) | corner
+    assert set(np.nonzero(topo.sliding)[0].tolist()) == constrained - corner
     assert np.array_equal(np.nonzero(topo.boundary_mask)[0],
                           sorted({u for u, _, _, _ in boundary}))
     ptr = topo.neighbor_ptr
@@ -178,7 +185,7 @@ def _any_orthonormal_row(n):
 
 def _second_fundamental_norm_lstsq(mesh):
     """Per-vertex least-squares shape operator, one lstsq per vertex."""
-    normals = vertex_normals(mesh).values
+    normals = vertex_normals(mesh)
     neighbors = [set() for _ in range(mesh.n_vertices)]
     for a, b, c in mesh.faces.tolist():
         neighbors[a].update((b, c))
@@ -208,7 +215,7 @@ def test_second_fundamental_norm_matches_per_vertex_lstsq():
         want, want_unreliable = _second_fundamental_norm_lstsq(mesh)
         got, unreliable = second_fundamental_norm(mesh)
         assert unreliable == want_unreliable
-        assert np.all(np.abs(got.values - want) <= 1e-12 * np.abs(want))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
     assert _second_fundamental_norm_lstsq(strip_on_plane(4))[1]  # corners: 2 neighbors
 
 
@@ -255,13 +262,48 @@ def test_scatters_equal_add_at_bit_for_bit():
             np.add.at(areas, f[:, k], 0.5 * np.linalg.norm(raw, axis=1) / 3.0)
             np.add.at(acc, f[:, k], raw)
         assert np.array_equal(mesh.vertex_areas(), areas)
-        assert np.array_equal(vertex_normals(mesh).values,
+        assert np.array_equal(vertex_normals(mesh),
                               acc / np.linalg.norm(acc, axis=1)[:, None])
         assert np.array_equal(area_gradient_raw(mesh), _area_gradient_add_at(mesh))
 
 
+def _laplacian_per_corner(mesh):
+    """The cotangent Laplacian from a cross product per face corner: one COO
+    entry per corner and side, then a second sparse add for the diagonal."""
+    v, f = mesh.vertices, mesh.faces
+    rows, cols, vals = [], [], []
+    for k in range(3):
+        i, j, o = f[:, k], f[:, (k + 1) % 3], f[:, (k + 2) % 3]  # o opposite (i, j)
+        a, b = v[i] - v[o], v[j] - v[o]
+        cross = np.maximum(np.linalg.norm(np.cross(a, b), axis=1), 1e-300)
+        w = 0.5 * np.clip(np.einsum("ij,ij->i", a, b) / cross, -COT_CLAMP, COT_CLAMP)
+        rows.extend([i, j])
+        cols.extend([j, i])
+        vals.extend([-w, -w])
+    L = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(mesh.n_vertices,) * 2)
+    return (L + sp.diags(-np.asarray(L.sum(axis=1)).ravel())).tocsr()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: perturbed_critical_catenoid(64, 64),
+    lambda: disk(1.0, 64, 128),
+    lambda: halfplane_patch(96),
+    lambda: _perturbed(grid_patch(12, 9)),
+], ids=["perturbed_catenoid", "disk", "halfplane_patch", "perturbed_grid"])
+def test_laplacian_from_face_frame_matches_per_corner_assembly(build):
+    # the frame's one twice-area per face replaces three cross products, so
+    # the weights round differently: by a few units in the last place on
+    # faces this well shaped, more on slivers, where |N| cancels
+    mesh = build()
+    L, want = cotangent_laplacian(mesh), _laplacian_per_corner(mesh)
+    assert (L != L.T).nnz == 0
+    assert abs(L - want).max() <= 1e-15 * abs(want).max()
+    assert np.abs(np.asarray(L.sum(axis=1))).max() <= 1e-12 * abs(want).max()
+
+
 def _boundary_conormal_loop(mesh):
-    normals = vertex_normals(mesh).values
+    normals = vertex_normals(mesh)
     v = mesh.vertices
     per_vertex = {}
     for (a, b), o in zip(mesh.boundary_edges().tolist(), mesh.topology.boundary_opposite):
