@@ -119,8 +119,8 @@ class TriangleMesh:
     constraint equation; it is carried by the mesh but interpreted elsewhere.
     Since the vertices are immutable, the per-mesh quantities are computed on
     first use and cached on the mesh as read-only arrays: the connectivity
-    (`topology`), the per-face geometry, the vertex normals and the cotangent
-    Laplacian.
+    (`topology`), the per-face geometry, the lumped vertex areas, the vertex
+    normals and the cotangent Laplacian.
     """
 
     def __init__(self, vertices, faces, constrained=None):
@@ -196,6 +196,10 @@ class TriangleMesh:
         return sides, normals, lengths
 
     @cached_property
+    def _vertex_areas(self):
+        return _read_only(_scatter_corners(self, np.tile(self.face_areas() / 3.0, 3)))
+
+    @cached_property
     def _normals(self):
         """(n, 3) unit vertex normals; see vertex_normals."""
         acc = _scatter_corners(self, np.tile(self._frame[1], 3))  # area-weighted
@@ -224,8 +228,9 @@ class TriangleMesh:
         return np.stack([_norm(s2), _norm(s0), _norm(s1)])
 
     def vertex_areas(self):
-        """One-third barycentric lumped vertex areas."""
-        return _scatter_corners(self, np.tile(self.face_areas() / 3.0, 3))
+        """One-third barycentric lumped vertex areas; built once per mesh and
+        kept on it, read-only."""
+        return self._vertex_areas
 
     def boundary_length_weights(self):
         """Half the incident boundary edge lengths, per vertex (0 off-boundary)."""

@@ -297,8 +297,7 @@ def validate_config(config: dict) -> dict:
         sampler = _BUILTIN_SAMPLERS.get(builtin) if isinstance(builtin, str) else None
         if sampler is None:
             raise ScenarioError(f"unknown builtin sampler {builtin!r}")
-        _check_builds("initial_mesh.params",
-                      lambda params: inspect.signature(sampler).bind(**params),
+        _check_builds("initial_mesh.params", lambda params: _bind_sampler(sampler, params),
                       mesh_spec.get("params", {}))
     if "obj" in mesh_spec:
         obj = mesh_spec["obj"]
@@ -318,6 +317,16 @@ def validate_config(config: dict) -> dict:
     out.setdefault("solver", None)
     out.setdefault("analysis", {})
     return out
+
+
+def _bind_sampler(sampler, params):
+    """Binds a builtin sampler's params without building the mesh. A number
+    must be finite: a NaN or inf gives non-finite vertices, which would fail
+    only at setup, after the run directory exists."""
+    inspect.signature(sampler).bind(**params)
+    bad = [k for k, v in params.items() if isinstance(v, float) and not np.isfinite(v)]
+    if bad:
+        raise ValueError(f"params {bad} must be finite numbers")
 
 
 def _build_geometry(spec):

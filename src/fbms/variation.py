@@ -4,7 +4,9 @@ The admissible variation class: interior vertices move freely, constrained
 boundary vertices slide tangentially along N, remaining boundary vertices are
 pinned. solve_minimal is projected gradient descent in that class with Armijo
 backtracking; a step is followed by nearest-point re-projection of the
-constrained vertices.
+constrained vertices. Each search starts at the step whose predicted decrease
+repeats the last accepted one (Nocedal & Wright, Numerical Optimization,
+section 3.5).
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from .mesh import (
 )
 
 ASPECT_RATIO_LIMIT = 50.0
-STEP_INIT = 1.0
 ARMIJO_C = 1e-4
 ORTHO_TOL = 2e-2  # radians; the residual is resolution limited
-ORTHO_CHECK_EVERY = 10  # orthogonality residual cadence, in iterations
 MAX_DISPLACEMENT_FRAC = 0.2  # of the shortest edge, per step
 H_TOL = 5e-2  # verify_minimal's bound on the interior mean curvature
 
@@ -46,7 +46,8 @@ class SolveReport:
     iterations: int
     area_history: list
     grad_history: list
-    ortho_history: list
+    trials: int  # trial meshes the line searches built
+    rejected_trials: int  # of those, failed the aspect-ratio guard or Armijo test
     final_grad_norm: float
     final_ortho_residual: float
     converged: bool
@@ -60,6 +61,8 @@ class SolveReport:
             "final_ortho_residual": self.final_ortho_residual,
             "converged": self.converged,
             "termination": self.termination,
+            "trials": self.trials,
+            "rejected_trials": self.rejected_trials,
         }
 
 
@@ -171,13 +174,12 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
     cidx = np.nonzero(mesh.constrained)[0]
     area_history = [area]
     grad_history = []
-    ortho_history = []
-    step = STEP_INIT
+    predicted = -np.inf  # t * slope of the last accepted step; -inf: start at the cap
+    trials = rejected = 0
     termination = "max_iterations"
     converged = False
     it = 0
 
-    ortho = np.inf
     for it in range(1, params.max_iterations + 1):
         g = area_gradient(mesh, constraint)
         areas_v = np.maximum(mesh.vertex_areas(), 1e-300)
@@ -185,11 +187,9 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         # stationarity on the mean-curvature scale: |grad| over lumped area
         gnorm = float(np.linalg.norm(d, axis=1).max())
         slope = float(np.einsum("ij,ij->", g, d))
-        if it % ORTHO_CHECK_EVERY == 0 or gnorm <= grad_tol:
-            ortho = _residual_or_inf(mesh, constraint)
         grad_history.append(gnorm)
-        ortho_history.append(ortho)
-        if gnorm <= grad_tol and ortho <= ORTHO_TOL:
+        # the residual is computed only once the gradient test has passed
+        if gnorm <= grad_tol and _residual_or_inf(mesh, constraint) <= ORTHO_TOL:
             converged = True
             termination = "stationary"
             break
@@ -200,28 +200,28 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         # step cap: no vertex moves more than a fraction of the shortest edge
         t_cap = MAX_DISPLACEMENT_FRAC * min_edge / max(gnorm, 1e-300)
 
-        # Armijo backtracking with halving; growing restart step. The
-        # constraint projection is part of the trial step, so sufficient
-        # decrease is tested on the actual next iterate.
+        # Armijo backtracking with halving. The first trial predicts the same
+        # decrease t * slope as the last accepted step (Nocedal & Wright,
+        # eq. 3.60). The constraint projection is part of the trial step, so
+        # sufficient decrease is tested on the actual next iterate.
         accepted = False
-        t = min(step * 2.0, t_cap)
+        t = min(predicted / slope, t_cap)
         for _ in range(30):
+            trials += 1
             vcand = mesh.vertices + t * d
             if len(cidx):
                 vcand[cidx] = constraint.project(vcand[cidx])
             cand = mesh.with_vertices(vcand)
             aspect, cand_area, cand_min_edge = _max_aspect_ratio(cand)
-            if aspect > ASPECT_RATIO_LIMIT:
-                t *= 0.5
-                continue
-            if cand_area <= area + ARMIJO_C * t * slope:
+            if aspect <= ASPECT_RATIO_LIMIT and cand_area <= area + ARMIJO_C * t * slope:
                 accepted = True
                 break
+            rejected += 1
             t *= 0.5
         if not accepted:
             termination = "line search failed 30 halvings"
             break
-        step = t
+        predicted = t * slope
         mesh, area, min_edge = cand, cand_area, cand_min_edge
         area_history.append(area)
 
@@ -235,7 +235,8 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         iterations=it,
         area_history=area_history,
         grad_history=grad_history,
-        ortho_history=ortho_history,
+        trials=trials,
+        rejected_trials=rejected,
         final_grad_norm=final_gnorm,
         final_ortho_residual=final_ortho,
         converged=converged,

@@ -94,10 +94,14 @@ def test_criterion_2_critical_catenoid():
     t_hat = brentq(lambda t: neck**2 * (np.cosh(t) ** 2 + t**2) - 1.0, 0.1, 5.0)
     crit_res = abs(t_hat * np.tanh(t_hat) - 1.0)
     elapsed = time.time() - t0
+    # the first trial step predicts the last decrease, so few are halved
+    monotone = bool(np.all(np.diff(rep.area_history) <= 0.0))
     ok = (
         check["max_interior_H"] <= 5e-2
         and check["free_boundary_residual"] <= 2e-2
         and crit_res <= 0.02
+        and rep.rejected_trials <= 0.05 * rep.iterations
+        and monotone
         and elapsed < 60.0
     )
     report(
@@ -106,6 +110,8 @@ def test_criterion_2_critical_catenoid():
         f"max|H|={check['max_interior_H']:.4f}, "
         f"ortho={check['free_boundary_residual']:.4f} rad, "
         f"|t tanh t - 1|={crit_res:.4f} (t0={CRITICAL_CATENOID_T0:.5f}), "
+        f"{rep.rejected_trials} of {rep.trials} trials rejected in "
+        f"{rep.iterations} iterations, area nonincreasing: {monotone}, "
         f"{elapsed:.1f}s",
     )
 

@@ -160,8 +160,9 @@ def _count_builds(monkeypatch, name):
 
 def test_disk_in_ball_builds_each_mesh_quantity_once(tmp_path, monkeypatch):
     # verify's conormals, the |A|^2 fit, the boundary second form and the
-    # Fermi stage all read the one mesh's vertex normals
-    names = ("topology", "_frame", "_normals", "_laplacian")
+    # Fermi stage all read the one mesh's vertex normals; verify's max|H| and
+    # the stability form read its vertex areas
+    names = ("topology", "_frame", "_vertex_areas", "_normals", "_laplacian")
     built = {name: _count_builds(monkeypatch, name) for name in names}
     cfg = dict(builtin_scenarios()["disk-in-ball"], solver=None)
     man = run_scenario(cfg, tmp_path / "disk")
@@ -247,13 +248,15 @@ def test_malformed_obj_fails_setup_with_file_line(tmp_path):
 def test_non_finite_geometry_fails_setup(tmp_path):
     obj = tmp_path / "mesh.obj"
     obj.write_text("v 0 0 0\nv 1 0 nan\nv 0 1 0\nf 1 2 3\n")
+    man = run_scenario(dict(_DISK, initial_mesh={"obj": str(obj)}), tmp_path / "obj")
+    assert man.failure == {"stage": "setup", "error": "non-finite coordinates at vertices [1]"}
+    assert man.stage_pass == {}
+    # a builtin sampler's non-finite param fails validation, before any output
     nan_disk = {"builtin": "disk", "params": {"radius": float("nan"), "n_radial": 1,
                                               "n_angular": 3}}
-    for name, mesh, bad in (("disk", nan_disk, [1, 2, 3]), ("obj", {"obj": str(obj)}, [1])):
-        man = run_scenario(dict(_DISK, initial_mesh=mesh), tmp_path / name)
-        assert man.failure == {"stage": "setup",
-                               "error": f"non-finite coordinates at vertices {bad}"}
-        assert man.stage_pass == {}
+    with pytest.raises(ScenarioError, match=r"params \['radius'\] must be finite"):
+        run_scenario(dict(_DISK, initial_mesh=nan_disk), tmp_path / "disk")
+    assert not (tmp_path / "disk").exists()
 
 
 def test_obj_vertex_without_face_fails_verify(tmp_path):
@@ -423,6 +426,8 @@ BAD_CONFIGS = {
     "stability-number": _disk_with(stability=1),
     "sampler-param": dict(_DISK, initial_mesh={
         "builtin": "disk", "params": dict(_DISK["initial_mesh"]["params"], n_radiall=20)}),
+    "sampler-param-nan": dict(_DISK, initial_mesh={
+        "builtin": "disk", "params": dict(_DISK["initial_mesh"]["params"], radius=float("nan"))}),
     # degenerate primitives
     "sphere-radius-zero": _disk_with(dict(_DISK["constraint"], radius=0)),
     "sphere-radius-negative": _disk_with(dict(_DISK["constraint"], radius=-1)),

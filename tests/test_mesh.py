@@ -268,6 +268,15 @@ def test_vertex_normals_are_built_once_per_mesh():
     assert np.array_equal(vertex_normals(moved), nu)  # translation-free
 
 
+def test_vertex_areas_are_built_once_per_mesh():
+    m = disk(1.0, 6, 18)
+    areas = m.vertex_areas()
+    assert m.vertex_areas() is areas
+    with pytest.raises(ValueError, match="read-only"):
+        areas[0] = 0.0  # shared, so read-only
+    assert m.with_vertices(m.vertices).vertex_areas() is not areas
+
+
 def test_mean_curvature_names_vertices_no_face_uses():
     m = grid_patch(2, 2)
     lone = TriangleMesh(np.vstack([m.vertices, [[5.0, 5.0, 0.0]]]), m.faces)

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import fbms.variation
 from fbms.constraints import Plane, Sphere
 from fbms.mesh import TriangleMesh, total_area
 from fbms.samplers import (
     catenoid,
     critical_catenoid,
     grid_patch,
+    half_catenoid,
     half_disk,
     strip_on_plane,
 )
@@ -108,6 +110,22 @@ def test_solver_flattens_noisy_pinned_patch():
     assert np.all(np.diff(areas) <= 1e-12)
     assert report.converged
     assert abs(total_area(report.final_mesh) - 1.0) < 1e-3
+
+
+def test_solver_reads_residual_only_after_gradient_test(monkeypatch):
+    calls = []
+    residual = fbms.variation._residual_or_inf
+    monkeypatch.setattr(fbms.variation, "_residual_or_inf",
+                        lambda *a, **k: calls.append(a[0]) or residual(*a, **k))
+    # at this resolution the gradient test passes at some iterations while
+    # the orthogonality residual stays above ORTHO_TOL
+    m = half_catenoid(1.0, 8, 32)
+    report = solve_minimal(m, Plane((0, 0, 0), (0, 0, 1)), SolveParams(max_iterations=40))
+    assert report.iterations == 40
+    passed = sum(g <= 1e-2 / m.diameter() for g in report.grad_history)
+    assert 1 <= passed < report.iterations
+    assert len(calls) == passed + 1  # plus the final mesh's residual
+    assert calls[-1] is report.final_mesh
 
 
 def test_solver_rejects_invalid_mesh():
