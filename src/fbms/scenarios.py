@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import inspect
 import json
 import time
 import warnings
@@ -25,7 +24,7 @@ from . import __version__, fermi
 from .blowup import reflect_double
 from .constraints import Plane, constraint_from_spec
 from .fermi import GridSpec, build_chart, graph_extract, neumann_residual
-from .mesh import mean_curvature_vector, vertex_normals
+from .mesh import mean_curvature_vector, validate_mesh, vertex_normals
 from .monotonicity import (
     Polyline,
     as_radii,
@@ -197,7 +196,7 @@ def _check_builds(what, build, spec):
         return build(spec)
     except KeyError as exc:
         raise ScenarioError(f"{what} is missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, FloatingPointError) as exc:
         raise ScenarioError(f"invalid {what}: {exc}") from None
 
 
@@ -267,6 +266,12 @@ def _validate_expect(expect, stages):
 
 def validate_config(config: dict) -> dict:
     """Fail-closed schema check; returns a deep copy with defaults filled."""
+    return _validated(config)[0]
+
+
+def _validated(config):
+    """validate_config's check and copy, with the geometry it built: a
+    builtin mesh or a polyline; None for an OBJ file, which setup reads."""
     if not isinstance(config, dict):
         raise ScenarioError("config must be a JSON object")
     unknown = set(config) - _TOP_KEYS
@@ -292,20 +297,20 @@ def validate_config(config: dict) -> dict:
     extra = set(mesh_spec) - {"builtin", "obj", "polyline", "params"}
     if extra:
         raise ScenarioError(f"unknown initial_mesh keys: {sorted(extra)}")
+    geometry = None
     if "builtin" in mesh_spec:
         builtin = mesh_spec["builtin"]
         sampler = _BUILTIN_SAMPLERS.get(builtin) if isinstance(builtin, str) else None
         if sampler is None:
             raise ScenarioError(f"unknown builtin sampler {builtin!r}")
-        _check_builds("initial_mesh.params", lambda params: _bind_sampler(sampler, params),
-                      mesh_spec.get("params", {}))
+        geometry = _check_builds("initial_mesh", _build_builtin, mesh_spec)
     if "obj" in mesh_spec:
         obj = mesh_spec["obj"]
         if not (isinstance(obj, str) and Path(obj).exists()):
             raise ScenarioError(f"mesh file not found: {obj!r}")
     polyline = "polyline" in mesh_spec
     if polyline:
-        _check_builds("initial_mesh", _build_geometry, mesh_spec)
+        geometry = _check_builds("initial_mesh", _build_geometry, mesh_spec)
     constraint = _check_builds("constraint", constraint_from_spec, config["constraint"])
     _validate_analysis(config.get("analysis", {}), constraint, polyline)
     if config.get("solver") is not None:
@@ -316,17 +321,25 @@ def validate_config(config: dict) -> dict:
     out.setdefault("seed", 0)
     out.setdefault("solver", None)
     out.setdefault("analysis", {})
-    return out
+    return out, geometry
 
 
-def _bind_sampler(sampler, params):
-    """Binds a builtin sampler's params without building the mesh. A number
-    must be finite: a NaN or inf gives non-finite vertices, which would fail
-    only at setup, after the run directory exists."""
-    inspect.signature(sampler).bind(**params)
+def _build_builtin(spec):
+    """Builds a builtin mesh, so that params its sampler cannot use (not
+    finite, a wrong type or range, an overflow) and a mesh that
+    validate_mesh rejects fail before the run directory exists."""
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise TypeError("params must be an object")
     bad = [k for k, v in params.items() if isinstance(v, float) and not np.isfinite(v)]
     if bad:
         raise ValueError(f"params {bad} must be finite numbers")
+    with np.errstate(over="raise", invalid="raise"):
+        mesh = _build_geometry(spec)
+    bad = validate_mesh(mesh)
+    if bad:
+        raise ValueError(f"{len(bad)} mesh violations, the first: {bad[0]}")
+    return mesh
 
 
 def _build_geometry(spec):
@@ -525,7 +538,7 @@ _STAGES = (
 
 def run_scenario(config: dict, out_dir) -> RunManifest:
     """Executes the enabled pipeline stages and writes per-stage reports."""
-    config = validate_config(config)
+    config, geometry = _validated(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
@@ -540,7 +553,8 @@ def run_scenario(config: dict, out_dir) -> RunManifest:
     stage = "setup"
     check = None  # the verify stage's result, reused by later stages
     try:
-        geometry = _build_geometry(config["initial_mesh"])
+        if geometry is None:
+            geometry = _build_geometry(config["initial_mesh"])
         constraint = constraint_from_spec(config["constraint"])
         blocks = _blocks(config)
         runs = {name: run for name, _, run in _STAGES}

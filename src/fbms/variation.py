@@ -4,9 +4,13 @@ The admissible variation class: interior vertices move freely, constrained
 boundary vertices slide tangentially along N, remaining boundary vertices are
 pinned. solve_minimal is projected gradient descent in that class with Armijo
 backtracking; a step is followed by nearest-point re-projection of the
-constrained vertices. Each search starts at the step whose predicted decrease
-repeats the last accepted one (Nocedal & Wright, Numerical Optimization,
-section 3.5).
+constrained vertices. Each search starts at the two-point step of Barzilai &
+Borwein (IMA J. Numer. Anal. 8, 1988; Raydan, SIAM J. Optim. 7, 1997) in its
+BB2 form s.y / (y.M^-1 y), with s the last accepted move, y the change of the
+admissible gradient and M the lumped vertex areas. It is capped by the
+displacement bound and by STEP_GROWTH times the last accepted step. Where
+s.y <= 0 the search starts at the step whose predicted decrease repeats the
+last accepted one (Nocedal & Wright, Numerical Optimization, section 3.5).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .mesh import (
 
 ASPECT_RATIO_LIMIT = 50.0
 ARMIJO_C = 1e-4
+STEP_GROWTH = 2.0  # a search starts at most this many times the last accepted step
 ORTHO_TOL = 2e-2  # radians; the residual is resolution limited
 MAX_DISPLACEMENT_FRAC = 0.2  # of the shortest edge, per step
 H_TOL = 5e-2  # verify_minimal's bound on the interior mean curvature
@@ -175,6 +180,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
     area_history = [area]
     grad_history = []
     predicted = -np.inf  # t * slope of the last accepted step; -inf: start at the cap
+    s = t_last = g_last = None  # the last accepted move, its step, the gradient it left
     trials = rejected = 0
     termination = "max_iterations"
     converged = False
@@ -189,7 +195,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         slope = float(np.einsum("ij,ij->", g, d))
         grad_history.append(gnorm)
         # the residual is computed only once the gradient test has passed
-        if gnorm <= grad_tol and _residual_or_inf(mesh, constraint) <= ORTHO_TOL:
+        if gnorm <= grad_tol and (ortho := _residual_or_inf(mesh, constraint)) <= ORTHO_TOL:
             converged = True
             termination = "stationary"
             break
@@ -200,12 +206,21 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         # step cap: no vertex moves more than a fraction of the shortest edge
         t_cap = MAX_DISPLACEMENT_FRAC * min_edge / max(gnorm, 1e-300)
 
-        # Armijo backtracking with halving. The first trial predicts the same
-        # decrease t * slope as the last accepted step (Nocedal & Wright,
-        # eq. 3.60). The constraint projection is part of the trial step, so
-        # sufficient decrease is tested on the actual next iterate.
+        # Armijo backtracking with halving. The first trial is the BB2 step
+        # in the lumped-mass metric, at most STEP_GROWTH times the last
+        # accepted step; where s.y <= 0 it predicts the same decrease
+        # t * slope as the last accepted step (Nocedal & Wright, eq. 3.60).
+        # The constraint projection is part of the trial step, so sufficient
+        # decrease is tested on the actual next iterate.
+        t = predicted / slope
+        if s is not None:
+            y = g - g_last
+            sy = s @ y.ravel()
+            if sy > 0:
+                yy = (y / areas_v[:, None]).ravel() @ y.ravel()
+                t = min(sy / yy, STEP_GROWTH * t_last)
+        t = min(t, t_cap)
         accepted = False
-        t = min(predicted / slope, t_cap)
         for _ in range(30):
             trials += 1
             vcand = mesh.vertices + t * d
@@ -221,15 +236,16 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         if not accepted:
             termination = "line search failed 30 halvings"
             break
-        predicted = t * slope
+        predicted, t_last = t * slope, t
+        s, g_last = (vcand - mesh.vertices).ravel(), g
         mesh, area, min_edge = cand, cand_area, cand_min_edge
         area_history.append(area)
 
-    final_ortho = _residual_or_inf(mesh, constraint)
-    final_g = area_gradient(mesh, constraint)
-    final_gnorm = float(
-        (np.linalg.norm(final_g, axis=1) / np.maximum(mesh.vertex_areas(), 1e-300)).max()
-    )
+    if not converged:  # a "stationary" exit has both on the final mesh
+        ortho = _residual_or_inf(mesh, constraint)
+        g = area_gradient(mesh, constraint)
+        areas_v = np.maximum(mesh.vertex_areas(), 1e-300)
+    final_gnorm = float((np.linalg.norm(g, axis=1) / areas_v).max())
     return SolveReport(
         final_mesh=mesh,
         iterations=it,
@@ -238,7 +254,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         trials=trials,
         rejected_trials=rejected,
         final_grad_norm=final_gnorm,
-        final_ortho_residual=final_ortho,
+        final_ortho_residual=ortho,
         converged=converged,
         termination=termination,
     )

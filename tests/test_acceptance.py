@@ -94,12 +94,15 @@ def test_criterion_2_critical_catenoid():
     t_hat = brentq(lambda t: neck**2 * (np.cosh(t) ** 2 + t**2) - 1.0, 0.1, 5.0)
     crit_res = abs(t_hat * np.tanh(t_hat) - 1.0)
     elapsed = time.time() - t0
-    # the first trial step predicts the last decrease, so few are halved
+    # the first trial step is the two-point (BB2) step, capped at twice the
+    # last accepted one, or else predicts the last decrease: few are halved
     monotone = bool(np.all(np.diff(rep.area_history) <= 0.0))
     ok = (
         check["max_interior_H"] <= 5e-2
         and check["free_boundary_residual"] <= 2e-2
         and crit_res <= 0.02
+        and rep.iterations <= 400
+        and rep.trials <= 400
         and rep.rejected_trials <= 0.05 * rep.iterations
         and monotone
         and elapsed < 60.0
@@ -114,6 +117,19 @@ def test_criterion_2_critical_catenoid():
         f"{rep.iterations} iterations, area nonincreasing: {monotone}, "
         f"{elapsed:.1f}s",
     )
+
+
+def test_descent_on_finer_critical_catenoid():
+    """The step grows with the mesh: at 96 x 96 the descent stops within 600
+    iterations, where a first trial held near the explicit-flow limit
+    (about 0.4 h_min^2) needs more than 1,000."""
+    rep = solve_minimal(perturbed_critical_catenoid(96, 96), SPHERE,
+                        SolveParams(max_iterations=2000))
+    assert rep.termination == "stationary"
+    assert rep.iterations <= 600
+    assert rep.rejected_trials <= 0.05 * rep.iterations
+    assert np.all(np.diff(rep.area_history) <= 0.0)
+    assert verify_minimal(rep.final_mesh, SPHERE)["passes"]
 
 
 def test_criterion_3_stability_signs():

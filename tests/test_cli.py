@@ -2,9 +2,11 @@
 
 import csv
 import functools
+import importlib.util
 import json
 import tarfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,6 +430,17 @@ BAD_CONFIGS = {
         "builtin": "disk", "params": dict(_DISK["initial_mesh"]["params"], n_radiall=20)}),
     "sampler-param-nan": dict(_DISK, initial_mesh={
         "builtin": "disk", "params": dict(_DISK["initial_mesh"]["params"], radius=float("nan"))}),
+    # a builtin mesh is built and checked before any stage runs
+    "sampler-param-string": dict(_DISK, initial_mesh={
+        "builtin": "disk", "params": dict(_DISK["initial_mesh"]["params"], radius="1")}),
+    "sampler-param-fraction": dict(_DISK, initial_mesh={
+        "builtin": "disk", "params": dict(_DISK["initial_mesh"]["params"], n_radial=2.5)}),
+    "sampler-param-negative": dict(_DISK, initial_mesh={
+        "builtin": "disk", "params": dict(_DISK["initial_mesh"]["params"], n_radial=-3)}),
+    "sampler-invalid-mesh": dict(_DISK, initial_mesh={
+        "builtin": "disk", "params": dict(_DISK["initial_mesh"]["params"], n_angular=2)}),
+    "sampler-param-overflow": dict(_DISK, initial_mesh={
+        "builtin": "disk", "params": dict(_DISK["initial_mesh"]["params"], radius=1e308)}),
     # degenerate primitives
     "sphere-radius-zero": _disk_with(dict(_DISK["constraint"], radius=0)),
     "sphere-radius-negative": _disk_with(dict(_DISK["constraint"], radius=-1)),
@@ -498,6 +511,26 @@ def test_cli_run_whole_catalog_matches_declared_outcomes(tmp_path, capsys):
     assert [ln for ln in out if not ln.split(": ")[1].startswith("pass")] == [
         "graph-over-disk: as expected "
         "(stages: solve=False, stability=True, verify=False)"]
+
+
+def test_perfbench_outcome_table_restates_each_builtin_expect():
+    """perfbench declares each builtin's outcome again in
+    `workloads.OUTCOMES`; it must say what the builtin's `expect` block says,
+    or that every stage it runs passes where there is none. With the whole
+    catalog run above, a solver change that would make the benchmark read
+    incorrect fails here first."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    catalog = builtin_scenarios()
+    assert set(workloads.OUTCOMES) == set(catalog)
+    for name, cfg in catalog.items():
+        declared = workloads.OUTCOMES[name]
+        expect = cfg.get("expect", {})
+        every_pass = dict.fromkeys(fbms.scenarios._stages_run(cfg), True)
+        assert declared["stage_pass"] == expect.get("stage_pass", every_pass), name
+        assert expect.get("solve", {}).items() <= declared.get("solve", {}).items(), name
 
 
 WRONG_EXPECT = {

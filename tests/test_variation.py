@@ -97,13 +97,17 @@ def test_flat_strip_is_already_stationary():
     assert np.allclose(report.final_mesh.vertices, m.vertices)
 
 
-def test_solver_flattens_noisy_pinned_patch():
+def _noisy_pinned_patch():
     base = grid_patch(10, 10)
     rng = np.random.default_rng(2)
     v = base.vertices.copy()
     interior = ~base.is_boundary_vertex()
     v[interior, 2] += 0.05 * rng.standard_normal(interior.sum())
-    m = TriangleMesh(v, base.faces, base.constrained)
+    return TriangleMesh(v, base.faces, base.constrained)
+
+
+def test_solver_flattens_noisy_pinned_patch():
+    m = _noisy_pinned_patch()
     report = solve_minimal(m, Plane((0, 0, 0), (0, 0, 1)),
                            SolveParams(max_iterations=3000))
     areas = np.array(report.area_history)
@@ -126,6 +130,25 @@ def test_solver_reads_residual_only_after_gradient_test(monkeypatch):
     assert 1 <= passed < report.iterations
     assert len(calls) == passed + 1  # plus the final mesh's residual
     assert calls[-1] is report.final_mesh
+
+
+def test_stationary_exit_reuses_last_gradient_and_residual(monkeypatch):
+    calls = []
+    for name in ("area_gradient", "_residual_or_inf"):
+        real = getattr(fbms.variation, name)
+        monkeypatch.setattr(fbms.variation, name, lambda *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
+    m = _noisy_pinned_patch()
+    N = Plane((0, 0, 0), (0, 0, 1))
+    report = solve_minimal(m, N, SolveParams(max_iterations=3000))
+    assert report.termination == "stationary"
+    assert calls.count("area_gradient") == report.iterations
+    assert calls.count("_residual_or_inf") == 1
+    final = report.final_mesh
+    g = fbms.variation.area_gradient(final, N)
+    areas_v = np.maximum(final.vertex_areas(), 1e-300)
+    assert report.final_grad_norm == float((np.linalg.norm(g, axis=1) / areas_v).max())
+    assert report.final_ortho_residual == fbms.variation._residual_or_inf(final, N)
 
 
 def test_solver_rejects_invalid_mesh():
