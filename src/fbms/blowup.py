@@ -1,4 +1,4 @@
-"""Rescaling, point picking, reflection doubling, and the curvature survey.
+"""Rescaling, reflection doubling, and the curvature survey.
 
 The rescale map z -> lambda (z - y) is the zoom used to turn curvature
 concentration into exact covariance statements: |A| scales by 1/lambda,
@@ -60,29 +60,6 @@ def rescale(mesh: TriangleMesh, constraint, mapping: RescaleMap):
     else:
         raise ValueError("unsupported primitive under rescale")
     return out, new
-
-
-def point_pick(mesh: TriangleMesh, curvature, center, radius):
-    """Vertex maximizing |A|(y) * (radius - |y - center|) inside the ball.
-
-    Ties break toward the lowest vertex index. Also verifies by brute force
-    that the winner still maximizes the score after re-centering the ball at
-    itself with the reduced radius.
-    """
-    vals = np.asarray(curvature, dtype=float)
-    center = np.asarray(center, dtype=float)
-    d = np.linalg.norm(mesh.vertices - center, axis=1)
-    inside = d < radius
-    if not inside.any():
-        raise ValueError("empty ball")
-    scores = np.where(inside, vals * (radius - d), -np.inf)
-    winner = int(np.argmax(scores))  # argmax takes the first (lowest index)
-    score = float(scores[winner])
-    r_prime = radius - float(d[winner])
-    d2 = np.linalg.norm(mesh.vertices - mesh.vertices[winner], axis=1)
-    scores2 = np.where(d2 < r_prime, vals * (r_prime - d2), -np.inf)
-    recentering_ok = bool(np.argmax(scores2) == winner)
-    return winner, score, recentering_ok
 
 
 def _reflect_points(points, plane):

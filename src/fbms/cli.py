@@ -16,9 +16,10 @@ from pathlib import Path
 
 from .scenarios import (
     ScenarioError,
+    _run,
     _stages_run,
     builtin_scenarios,
-    run_scenario,
+    is_path_component,
     validate_config,
 )
 
@@ -55,14 +56,12 @@ def cmd_list(_args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        configs = [_load_config(ref) for ref in args.scenario]
-        for c in configs:
-            validate_config(c)
-    except (ScenarioError, json.JSONDecodeError) as exc:
+        runs = [validate_config(_load_config(ref)) for ref in args.scenario]
+    except (OSError, ValueError) as exc:  # unreadable, not JSON, or invalid
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     out_root = Path(args.out)
-    manifests = [run_scenario(c, out_root / c["name"]) for c in configs]
+    manifests = [_run(c, geometry, out_root / c["name"]) for c, geometry in runs]
 
     # the exit code says whether every outcome is the declared one
     ok = True
@@ -84,8 +83,11 @@ def emit_report_bundle(manifest_path) -> Path:
     """Packs the manifest and all stage outputs into a deterministic tar."""
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
+    outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
+    if not (isinstance(outputs, (dict, list)) and all(map(is_path_component, outputs))):
+        raise ValueError(f"{manifest_path}: outputs must name the stage output files beside it")
     out_dir = manifest_path.parent
-    members = ["manifest.json"] + sorted(manifest["outputs"])
+    members = ["manifest.json"] + sorted(outputs)
     missing = [m for m in members if not (out_dir / m).exists()]
     if missing:
         raise FileNotFoundError(
@@ -108,7 +110,7 @@ def emit_report_bundle(manifest_path) -> Path:
 def cmd_bundle(args) -> int:
     try:
         path = emit_report_bundle(args.manifest)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not JSON, or not a manifest
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     print(path)

@@ -120,11 +120,6 @@ class LevelSetConstraint:
         feet[why != ""] = np.nan
         return feet, why
 
-    def distance(self, x):
-        """rho(x) = |x - xi(x)| >= 0."""
-        x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x - self.project(x), axis=-1)
-
     # -- pointwise geometry --------------------------------------------------
 
     def unit_normal(self, p):
@@ -140,13 +135,6 @@ class LevelSetConstraint:
         on = np.abs(self.phi(p)) <= 1e-10 * (1 + np.linalg.norm(p, axis=1))
         if not (on.all() and np.isfinite(p).all()):
             raise ValueError("point is not on the constraint surface")
-
-    def projectors(self, p):
-        """(tau, nu) orthogonal projectors onto T_pN and its complement."""
-        self.check_on(p)
-        n = self.unit_normal(p)
-        nu = np.outer(n, n)
-        return np.eye(3) - nu, nu
 
     def zeta(self, base, x):
         """zeta_base(x) = -nu(xi(x)) (xi(x) - base); batched in x."""

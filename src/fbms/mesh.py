@@ -32,7 +32,6 @@ class Topology:
       edge_valence      (E,) number of faces using each edge
       face_edges        (m, 3) edge index of the sides (a, b), (b, c), (c, a)
       boundary_edges    (B, 2) oriented boundary edges, in face order
-      boundary_faces    (B,) the face of each boundary edge
       boundary_opposite (B,) the vertex of that face opposite the edge
       boundary_mask     (n,) vertex lies on a boundary edge
       corner            (n,) constrained vertex where the constrained arc
@@ -40,8 +39,6 @@ class Topology:
       pinned            (n,) boundary vertex held fixed: unconstrained, or a corner
       sliding           (n,) constrained vertex that slides on N: not a corner
       neighbor_ptr, neighbors   1-ring in CSR form, neighbors ascending
-      boundary_loops    vertex lists (see _boundary_loops), or None when the
-                        boundary edges are not disjoint closed loops
     """
 
     def __init__(self, faces, constrained):
@@ -58,7 +55,6 @@ class Topology:
 
         half = np.nonzero(valence[side_edge] == 1)[0]
         self.boundary_edges = np.stack([tail[half], head[half]], axis=1)
-        self.boundary_faces = half // 3
         self.boundary_opposite = faces[half // 3, (half + 2) % 3]
         self.boundary_mask = np.zeros(n, dtype=bool)
         self.boundary_mask[self.boundary_edges] = True
@@ -76,40 +72,6 @@ class Topology:
             [[0], np.cumsum(np.bincount(both[:, 0], minlength=n))]
         )
         _read_only(*vars(self).values())
-        self.boundary_loops = _boundary_loops(self.boundary_edges)
-
-
-def _boundary_loops(bedges):
-    """Closed loops of oriented boundary edges, by pointer doubling.
-
-    Each loop starts at its smallest vertex; loops come in order of it. Returns
-    None unless every boundary vertex has exactly one outgoing and one
-    incoming boundary edge.
-    """
-    verts = np.unique(bedges)
-    if not all(np.array_equal(np.sort(ends), verts) for ends in bedges.T):
-        return None
-    count = len(verts)
-    if count == 0:
-        return []
-    ids = np.arange(count)
-    pos = np.searchsorted(verts, bedges)
-    succ = np.empty(count, dtype=np.int64)
-    succ[pos[:, 0]] = pos[:, 1]
-    # label: the smallest (compressed) vertex of each loop
-    label, jump = ids, succ
-    for _ in range(count.bit_length()):
-        label, jump = np.minimum(label, label[jump]), jump[jump]
-    # rank: steps from the loop's start, by list ranking along predecessors
-    start = label == ids
-    pred = np.empty(count, dtype=np.int64)
-    pred[succ] = ids
-    rank, jump = (~start).astype(np.int64), np.where(start, ids, pred)
-    for _ in range(count.bit_length()):
-        rank, jump = rank + rank[jump], jump[jump]
-    order = np.lexsort((rank, label))
-    cuts = np.nonzero(np.diff(label[order]))[0] + 1
-    return [verts[run].tolist() for run in np.split(order, cuts)]
 
 
 class TriangleMesh:
@@ -157,14 +119,6 @@ class TriangleMesh:
     def boundary_edges(self):
         """(B, 2) directed boundary edges (u, v), each on exactly one face."""
         return self.topology.boundary_edges
-
-    @property
-    def boundary_loops(self):
-        """Ordered boundary vertex loops, following face orientation."""
-        loops = self.topology.boundary_loops
-        if loops is None:
-            raise ValueError("boundary edges do not form disjoint closed loops")
-        return loops
 
     def is_boundary_vertex(self):
         return self.topology.boundary_mask.copy()
@@ -306,7 +260,10 @@ def validate_mesh(mesh: TriangleMesh) -> list[str]:
     for fi in np.nonzero(repeated)[0]:
         violations.append(f"degenerate face {fi} (repeated vertex)")
 
-    if topo.boundary_loops is None:
+    # the boundary edges form disjoint closed loops: each boundary vertex is
+    # the tail of exactly one boundary edge and the head of exactly one
+    verts = np.nonzero(topo.boundary_mask)[0]
+    if not all(np.array_equal(np.sort(ends), verts) for ends in topo.boundary_edges.T):
         violations.append("boundary loops do not partition the boundary vertices")
     bad = np.nonzero(mesh.constrained & ~topo.boundary_mask)[0]
     if len(bad):

@@ -152,30 +152,6 @@ def as_radii(radii):
     return r.tolist()
 
 
-def _profile(geometry, p, radii, gamma, with_deficits=True,
-             minimal_verified=True):
-    k = 1 if isinstance(geometry, Polyline) else 2
-    Lambda1 = k * (3.0 * gamma)
-    radii = as_radii(radii)
-    if isinstance(geometry, TriangleMesh):
-        geometry = _SortedFaces(geometry, p)
-    masses = [mass_in_ball(geometry, p, r).mass for r in radii]
-    theta = [np.exp(Lambda1 * r) * m / r**k for r, m in zip(radii, masses)]
-    deficits = []
-    if with_deficits:
-        for a, b in zip(radii, radii[1:]):
-            deficits.append(deficit_integral(geometry, p, a, b, Lambda1, gamma))
-    return DensityProfile(
-        base_point=np.asarray(p, dtype=float),
-        radii=radii,
-        masses=masses,
-        theta=theta,
-        deficits=deficits,
-        constants={"k": k, "Lambda": 0.0, "gamma": gamma, "Lambda1": Lambda1},
-        minimal_verified=minimal_verified,
-    )
-
-
 def default_radius_grid(r_max, levels=6):
     return [r_max * 2.0 ** (-j) for j in range(levels - 1, -1, -1)]
 
@@ -198,13 +174,23 @@ def density_profile(geometry, constraint, p, radii, check=None) -> DensityProfil
         if check is None:
             check = verify_minimal(geometry, constraint)
         verified = bool(check["passes"])
-    return _profile(geometry, p, radii, gamma, minimal_verified=verified)
-
-
-def interior_density(geometry, p, radii) -> DensityProfile:
-    """Classical density ratio mass / r^k at an interior point (gamma = 0)."""
-    p = _in_space(p)
-    return _profile(geometry, p, radii, gamma=0.0, with_deficits=False)
+        geometry = _SortedFaces(geometry, p)
+    k = 1 if isinstance(geometry, Polyline) else 2
+    Lambda1 = k * (3.0 * gamma)
+    radii = as_radii(radii)
+    masses = [mass_in_ball(geometry, p, r).mass for r in radii]
+    theta = [np.exp(Lambda1 * r) * m / r**k for r, m in zip(radii, masses)]
+    deficits = [deficit_integral(geometry, p, a, b, Lambda1, gamma)
+                for a, b in zip(radii, radii[1:])]
+    return DensityProfile(
+        base_point=np.asarray(p, dtype=float),
+        radii=radii,
+        masses=masses,
+        theta=theta,
+        deficits=deficits,
+        constants={"k": k, "Lambda": 0.0, "gamma": gamma, "Lambda1": Lambda1},
+        minimal_verified=verified,
+    )
 
 
 SLACK = 0.02  # check_monotonicity's tolerance, relative to Theta(rho)
@@ -238,8 +224,7 @@ def check_monotonicity(profile: DensityProfile) -> MonotonicityReport:
     worst_pair = None
     for j in range(len(profile.radii) - 1):
         ts, tr = profile.theta[j], profile.theta[j + 1]
-        d = profile.deficits[j] if j < len(profile.deficits) else 0.0
-        margin = tr - d + SLACK * abs(tr) - ts
+        margin = tr - profile.deficits[j] + SLACK * abs(tr) - ts
         if margin < worst:
             worst = margin
             worst_pair = (profile.radii[j], profile.radii[j + 1])

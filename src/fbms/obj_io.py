@@ -24,16 +24,15 @@ from .mesh import TriangleMesh
 _AFTER_SLASH = re.compile(r"/\S*")
 
 
-def write_obj(mesh: TriangleMesh, path, sidecar=True):
+def write_obj(mesh: TriangleMesh, path):
     path = Path(path)
     text = ("v %.17g %.17g %.17g\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist())
             + "f %d %d %d\n" * mesh.n_faces % tuple((mesh.faces + 1).ravel().tolist()))
     path.write_text(text or "\n")
-    if sidecar:
-        idx = np.nonzero(mesh.constrained)[0].tolist()
-        path.with_suffix(".constrained.json").write_text(
-            json.dumps({"constrained": idx}, separators=(",", ":")) + "\n"
-        )
+    idx = np.nonzero(mesh.constrained)[0].tolist()
+    path.with_suffix(".constrained.json").write_text(
+        json.dumps({"constrained": idx}, separators=(",", ":")) + "\n"
+    )
 
 
 def _reads(token, dtype):

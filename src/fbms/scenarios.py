@@ -52,7 +52,11 @@ class ScenarioError(ValueError):
     pass
 
 
-def perturbed_critical_catenoid(nt=64, ntheta=64, amplitude=0.005, mode=3):
+PERTURBATION_AMPLITUDE = 0.005  # perturbed_critical_catenoid's normal offset
+PERTURBATION_MODE = 3  # and its angular frequency
+
+
+def perturbed_critical_catenoid(nt=64, ntheta=64):
     """Critical catenoid with a banded normal perturbation away from the
     boundary rings and the waist (keeps the descent inside the basin where
     the boundary rings stay well shaped)."""
@@ -62,7 +66,7 @@ def perturbed_critical_catenoid(nt=64, ntheta=64, amplitude=0.005, mode=3):
     zb = float(np.abs(v[bnd][:, 2]).max())
     theta = np.arctan2(v[:, 1], v[:, 0])
     window = np.exp(-(((np.abs(v[:, 2]) - 0.3 * zb) / (0.15 * zb)) ** 2))
-    f = amplitude * np.cos(mode * theta) * window
+    f = PERTURBATION_AMPLITUDE * np.cos(PERTURBATION_MODE * theta) * window
     f[bnd] = 0.0
     n = vertex_normals(mesh)
     return mesh.with_vertices(v + f[:, None] * n)
@@ -264,14 +268,16 @@ def _validate_expect(expect, stages):
         raise ScenarioError('expect.solve must be {"termination": <string>}')
 
 
-def validate_config(config: dict) -> dict:
-    """Fail-closed schema check; returns a deep copy with defaults filled."""
-    return _validated(config)[0]
+def is_path_component(name) -> bool:
+    """Whether name is a string without / or \\, and not "", "." or "..": a
+    file or directory name that stays inside its parent directory."""
+    return isinstance(name, str) and name not in ("", ".", "..") and not {"/", "\\"} & set(name)
 
 
-def _validated(config):
-    """validate_config's check and copy, with the geometry it built: a
-    builtin mesh or a polyline; None for an OBJ file, which setup reads."""
+def validate_config(config: dict):
+    """Fail-closed schema check. Returns a deep copy with defaults filled,
+    and the geometry the check built: a builtin mesh or a polyline; None for
+    an OBJ file, which the run's setup reads."""
     if not isinstance(config, dict):
         raise ScenarioError("config must be a JSON object")
     unknown = set(config) - _TOP_KEYS
@@ -286,7 +292,7 @@ def _validated(config):
         if key not in config:
             raise ScenarioError(f"missing required key {key!r}")
     name = config["name"]  # the run's directory under the output root
-    if not isinstance(name, str) or name in ("", ".", "..") or {"/", "\\"} & set(name):
+    if not is_path_component(name):
         raise ScenarioError(f"name must be one path component, not {name!r}")
     mesh_spec = config["initial_mesh"]
     if not isinstance(mesh_spec, dict):
@@ -306,7 +312,7 @@ def _validated(config):
         geometry = _check_builds("initial_mesh", _build_builtin, mesh_spec)
     if "obj" in mesh_spec:
         obj = mesh_spec["obj"]
-        if not (isinstance(obj, str) and Path(obj).exists()):
+        if not (isinstance(obj, str) and Path(obj).is_file()):
             raise ScenarioError(f"mesh file not found: {obj!r}")
     polyline = "polyline" in mesh_spec
     if polyline:
@@ -538,7 +544,11 @@ _STAGES = (
 
 def run_scenario(config: dict, out_dir) -> RunManifest:
     """Executes the enabled pipeline stages and writes per-stage reports."""
-    config, geometry = _validated(config)
+    return _run(*validate_config(config), out_dir)
+
+
+def _run(config, geometry, out_dir) -> RunManifest:
+    """run_scenario on a config and geometry that validate_config returned."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(

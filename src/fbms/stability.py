@@ -130,15 +130,6 @@ def assemble_stability_form(mesh: TriangleMesh, constraint, check=None) -> Stabi
     return StabilityForm(stiffness, potential, boundary, mass)
 
 
-def quadratic_form_value(form: StabilityForm, f) -> float:
-    vals = np.asarray(f, dtype=float)
-    if vals.shape != (form.mass.shape[0],):
-        raise ValueError("field length does not match the form")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("field must be finite")
-    return float(vals @ (form.operator() @ vals))
-
-
 def lowest_eigenpair(form: StabilityForm):
     """Minimal eigenvalue of (K - P - B) f = lambda M f.
 

@@ -71,20 +71,8 @@ class SolveReport:
         }
 
 
-def discrete_first_variation(mesh: TriangleMesh, X) -> float:
-    """d/dt Area(mesh + tX) at t=0, assembled in lumped form.
-
-    Interior vertices contribute -(X.H) a; boundary vertices contribute the
-    conormal boundary term (the discrete position gradient at a boundary
-    vertex is exactly that contribution).
-    """
-    vals = np.asarray(X, dtype=float)
-    g = area_gradient_raw(mesh)
-    return float(np.einsum("ij,ij->", vals, g))
-
-
 def finite_difference_variation(mesh: TriangleMesh, X, step: float) -> float:
-    """Central-difference oracle for discrete_first_variation."""
+    """Central-difference oracle for the first variation X . area_gradient_raw."""
     if step <= 0:
         raise ValueError("step must be positive")
     vals = np.asarray(X, dtype=float)

@@ -1,4 +1,4 @@
-"""Rescaling covariance, point picking, doubling, and the curvature survey."""
+"""Rescaling covariance, doubling, and the curvature survey."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from fbms.blowup import (
     RescaleMap,
     SurveyRow,
     curvature_survey,
-    point_pick,
     reflect_double,
     rescale,
 )
@@ -50,36 +49,6 @@ def test_rescale_plane_and_unsupported_primitive():
     assert np.abs(new_pl.phi(out.vertices[idx])).max() < 1e-12
     with pytest.raises(ValueError, match="unsupported"):
         rescale(mesh, Torus((0, 0, 0), 2.0, 0.5), mapping)
-
-
-def test_point_pick_weights_distance_to_sphere():
-    mesh = grid_patch(4, 4)
-    vals = np.zeros(mesh.n_vertices)
-    center = np.array([0.5, 0.5, 0.0])
-    d = np.linalg.norm(mesh.vertices - center, axis=1)
-    peak = int(np.argmin(np.abs(d - 0.25)))
-    vals[peak] = 3.0
-    winner, score, recentering_ok = point_pick(mesh, vals, center, 0.6)
-    assert winner == peak
-    assert np.isclose(score, 3.0 * (0.6 - d[peak]))
-    assert recentering_ok
-
-
-def test_point_pick_tie_breaks_to_lowest_index():
-    mesh = grid_patch(4, 4)
-    vals = np.ones(mesh.n_vertices)
-    center = np.array([0.5, 0.5, 0.0])
-    winner, _, _ = point_pick(mesh, vals, center, 10.0)
-    d = np.linalg.norm(mesh.vertices - center, axis=1)
-    best = np.min(d)
-    candidates = np.nonzero(np.isclose(d, best))[0]
-    assert winner == candidates.min()
-
-
-def test_point_pick_empty_ball():
-    mesh = grid_patch(3, 3)
-    with pytest.raises(ValueError, match="empty ball"):
-        point_pick(mesh, np.ones(mesh.n_vertices), np.array([5.0, 5.0, 5.0]), 0.1)
 
 
 def test_reflect_double_strip_doubles_area_and_welds_seam():

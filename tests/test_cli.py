@@ -78,7 +78,8 @@ def test_validate_config_fills_defaults():
         "initial_mesh": {"builtin": "strip_on_plane"},
         "constraint": {"type": "plane", "point": [0, 0, 0], "normal": [1, 0, 0]},
     }
-    out = validate_config(cfg)
+    out, mesh = validate_config(cfg)
+    assert mesh.n_vertices == 81  # the strip it built, handed on to the run
     assert out["seed"] == 0
     assert out["solver"] is None
     assert out["analysis"] == {}
@@ -352,6 +353,18 @@ def test_cli_run_and_bundle_deterministic(tmp_path, capsys):
     assert all(i.mtime == 0 and i.uid == 0 and i.mode == 0o644 for i in infos)
 
 
+@pytest.mark.parametrize("manifest", ["[1]", '{"outputs": 5}', '{"outputs": [1]}',
+                                      '{"outputs": ["solve.json", ["verify.json"]]}', "{}",
+                                      '{"outputs": ["../secret.txt"]}', '{"outputs": [".."]}',
+                                      '{"outputs": [""]}'])
+def test_cli_bundle_rejects_a_manifest_without_output_names(tmp_path, capsys, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(manifest)
+    assert cli_main(["bundle", str(path)]) == 2
+    assert "outputs must name" in json.loads(capsys.readouterr().err)["error"]
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
 def test_cli_bundle_reports_missing_outputs(tmp_path, capsys):
     assert cli_main(["run", "strip-on-plane", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -384,6 +397,7 @@ def _mono(**values):
 
 
 BAD_CONFIGS = {
+    "obj-directory": dict(_DISK, initial_mesh={"obj": str(Path(__file__).parent)}),
     "solver-key": dict(_STRIP, solver={"max_iterations": 10, "max_iters": 5}),
     # max_iterations is the one solver setting; the descent's others are fixed
     "solver-removed-key": dict(_STRIP, solver={"step_init": 1}),
@@ -491,6 +505,31 @@ def test_cli_run_rejects_bad_nested_config(tmp_path, capsys, case):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]  # nothing written
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8"])
+def test_cli_run_rejects_an_unreadable_config(tmp_path, capsys, case):
+    path = tmp_path / "bad.json"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"name": "\xff"}')
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]  # nothing written
+
+
+def test_cli_run_builds_each_builtin_mesh_once(tmp_path, capsys, monkeypatch):
+    # validation builds a builtin mesh, and the run takes that mesh
+    built = []
+    for name, sampler in fbms.scenarios._BUILTIN_SAMPLERS.items():
+        monkeypatch.setitem(fbms.scenarios._BUILTIN_SAMPLERS, name,
+                            lambda _name=name, _fn=sampler, **k: built.append(_name) or _fn(**k))
+    catalog = builtin_scenarios()
+    assert cli_main(["run", *catalog, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sorted(built) == sorted(cfg["initial_mesh"]["builtin"] for cfg in catalog.values()
+                                   if "builtin" in cfg["initial_mesh"])
 
 
 def test_cli_run_has_no_jobs_option(tmp_path, capsys):

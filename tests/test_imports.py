@@ -58,3 +58,44 @@ def test_unused_imports_sees_dotted_and_exported_names():
               "from math import pi, tau\n__all__ = ['tau']\n"
               "os.path.join(fbms.mesh.x, pi)\n")
     assert unused_imports(source) == ["json", "fbms.cli"]
+
+
+# Public names that only tests call: the references the tests compare the
+# library against, and criterion 9's rescaling and curvature survey.
+ORACLES = [
+    "blowup.curvature_survey",
+    "blowup.rescale",
+    "constraints.estimate_kappa",
+    "samplers.half_disk",
+    "samplers.icosphere",
+    "variation.finite_difference_variation",
+]
+
+
+def _names(path, strings):
+    """The identifiers a module reads, the last part of each name it imports
+    and, where `strings`, each dotted part of its string constants (the
+    benchmark's tracer binds targets by strings such as
+    "TriangleMesh.boundary_edges")."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.split("."))
+    return out
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    package = sorted((ROOT / "src" / "fbms").glob("*.py"))
+    named = set().union(*(_names(p, False) for p in package),
+                        *(_names(p, True) for p in (ROOT / "perfbench").glob("*.py")))
+    unused = [f"{path.stem}.{node.name}" for path in package
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in named]
+    assert sorted(unused) == ORACLES

@@ -184,7 +184,8 @@ def test_write_obj_matches_per_line_golden_bytes(tmp_path):
     bumpy = bumpy.with_vertices(bumpy.vertices / 3.0 + 1e-7)
     empty = TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
     for m in (half_disk(1.0, 6, 12), bumpy, empty):
-        write_obj(m, tmp_path / "mesh.obj", sidecar=False)
+        write_obj(m, tmp_path / "mesh.obj")
+        (tmp_path / "mesh.constrained.json").unlink()
         assert (tmp_path / "mesh.obj").read_bytes() == _per_line_obj(m).encode()
     assert _per_line_obj(empty) == "\n"
     assert read_obj(tmp_path / "mesh.obj").n_vertices == 0

@@ -17,7 +17,6 @@ from fbms.monotonicity import (
     default_radius_grid,
     deficit_integral,
     density_profile,
-    interior_density,
     mass_in_ball,
 )
 from fbms.samplers import (
@@ -97,20 +96,23 @@ def test_deficit_rejects_bad_annulus():
         deficit_integral(m, np.zeros(3), 0.4, 0.2, 12.0, 2.0)
 
 
+def _interior_density(mesh, p, radii):
+    """The classical density ratio mass / r^2 at an interior point."""
+    return [mass_in_ball(mesh, p, r).mass / r**2 for r in radii]
+
+
 def test_interior_density_of_disk_is_pi():
     m = disk(1.0, 24, 72)
-    prof = interior_density(m, np.zeros(3), [0.1, 0.2, 0.4])
-    assert np.allclose(prof.theta, np.pi, rtol=5e-3)
-    assert prof.constants["gamma"] == 0.0
+    assert np.allclose(_interior_density(m, np.zeros(3), [0.1, 0.2, 0.4]), np.pi, rtol=5e-3)
 
 
 def test_interior_density_nondecreasing_at_catenoid_waist():
     m = critical_catenoid(48, 48)
     waist = m.vertices[int(np.argmin(np.abs(m.vertices[:, 2])))]
-    prof = interior_density(m, waist, [0.05, 0.1, 0.2])
+    theta = _interior_density(m, waist, [0.05, 0.1, 0.2])
     # faceting error allowance on top of the analytic monotonicity
-    assert all(b >= a * (1 - 5e-3) for a, b in zip(prof.theta, prof.theta[1:]))
-    assert prof.theta[0] > np.pi * 0.98  # minimal surface density >= pi
+    assert all(b >= a * (1 - 5e-3) for a, b in zip(theta, theta[1:]))
+    assert theta[0] > np.pi * 0.98  # minimal surface density >= pi
 
 
 def test_density_profile_rejects_large_radius():
@@ -195,7 +197,7 @@ def test_non_minimal_input_is_flagged():
 
 def test_profile_serialization_roundtrip():
     m = disk(1.0, 8, 24)
-    prof = interior_density(m, np.zeros(3), [0.1, 0.2])
+    prof = density_profile(m, Sphere((0, 0, 0), 1.0), np.array([1.0, 0.0, 0.0]), [0.1, 0.2])
     payload = json.loads(json.dumps(prof.to_json_dict()))
     assert payload["radii"] == [0.1, 0.2]
     csv_text = prof.to_csv()

@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbms.blowup import reflect_double
@@ -38,6 +38,10 @@ from fbms.samplers import (
 from fbms.scenarios import perturbed_critical_catenoid
 from fbms.variation import _max_aspect_ratio
 
+# two triangles sharing only vertex 0, which has two outgoing boundary edges
+BOWTIE = TriangleMesh(np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [-1, 0, 0], [-1, -1, 0]], float),
+                      np.array([[0, 1, 2], [0, 3, 4]]))
+
 SAMPLERS = {
     "grid": lambda: grid_patch(3, 4),
     "strip": lambda: strip_on_plane(4),
@@ -46,6 +50,7 @@ SAMPLERS = {
     "catenoid": lambda: catenoid(-1.0, 1.0, 4, 10),
     "half_catenoid": lambda: half_catenoid(1.0, 3, 10),
     "icosphere": lambda: icosphere(1),
+    "bowtie": lambda: BOWTIE,
 }
 
 
@@ -59,64 +64,76 @@ def _shuffled(mesh, seed):
 
 
 def _oracle(mesh):
-    """Boundary edges, faces, opposite vertices, loops, corners and 1-rings
-    from Python dicts, the way the face loops used to build them."""
+    """Boundary edges, opposite vertices, whether the boundary walk closes up
+    into loops, corners and 1-rings from Python dicts, the way the face loops
+    used to build them."""
     directed = {}
     for fi, (a, b, c) in enumerate(mesh.faces.tolist()):
         for u, v, o in ((a, b, c), (b, c, a), (c, a, b)):
-            directed.setdefault((u, v), []).append((fi, o))
+            directed.setdefault((u, v), []).append(o)
     undirected = {}
     for (u, v), uses in directed.items():
         undirected.setdefault((min(u, v), max(u, v)), []).extend(uses)
     boundary = [
-        (u, v, uses[0][0], uses[0][1]) for (u, v), uses in directed.items()
+        (u, v, uses[0]) for (u, v), uses in directed.items()
         if len(undirected[(min(u, v), max(u, v))]) == 1
     ]
-    nxt = {u: v for u, v, _, _ in boundary}
-    loops, seen = [], set()
-    for start in sorted(nxt):
-        if start in seen:
-            continue
-        loop, cur = [start], nxt[start]
-        seen.add(start)
-        while cur != start:
-            loop.append(cur)
-            seen.add(cur)
-            cur = nxt[cur]
-        loops.append(loop)
     corner = set()
-    for u, v, _, _ in boundary:
+    for u, v, _ in boundary:
         if mesh.constrained[u] != mesh.constrained[v]:
             corner.add(u if mesh.constrained[u] else v)
     rings = [set() for _ in range(mesh.n_vertices)]
     for u, v in undirected:
         rings[u].add(v)
         rings[v].add(u)
-    return boundary, loops, corner, [sorted(r) for r in rings], sorted(undirected)
+    return boundary, _loops_close(boundary), corner, [sorted(r) for r in rings], sorted(undirected)
+
+
+def _loops_close(boundary):
+    """Whether walking the boundary edges from each vertex returns to it
+    without meeting a vertex of two outgoing edges, of none, or of an
+    earlier walk: whether the boundary is disjoint closed loops."""
+    nxt = {}
+    for u, v, _ in boundary:
+        nxt.setdefault(u, []).append(v)
+    seen = set()
+    for start in sorted(nxt):
+        if start in seen:
+            continue
+        cur = start
+        while True:
+            if cur in seen or len(nxt.get(cur, [])) != 1:
+                return False
+            seen.add(cur)
+            cur = nxt[cur][0]
+            if cur == start:
+                break
+    return True
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(SAMPLERS)), st.integers(0, 2**32 - 1))
+@example("bowtie", 0)
 def test_topology_matches_dict_oracle(name, seed):
     mesh = _shuffled(SAMPLERS[name](), seed)
     topo = mesh.topology
-    boundary, loops, corner, rings, edges = _oracle(mesh)
+    boundary, closed, corner, rings, edges = _oracle(mesh)
     got = list(zip(topo.boundary_edges[:, 0].tolist(), topo.boundary_edges[:, 1].tolist(),
-                   topo.boundary_faces.tolist(), topo.boundary_opposite.tolist()))
+                   topo.boundary_opposite.tolist()))
     assert got == boundary
-    assert topo.boundary_loops == loops
-    assert mesh.boundary_loops == loops
     assert set(np.nonzero(topo.corner)[0].tolist()) == corner
     constrained = set(np.nonzero(mesh.constrained)[0].tolist())
-    on_boundary = {u for u, _, _, _ in boundary}
+    on_boundary = {u for u, _, _ in boundary}
     assert set(np.nonzero(topo.pinned)[0].tolist()) == (on_boundary - constrained) | corner
     assert set(np.nonzero(topo.sliding)[0].tolist()) == constrained - corner
     assert np.array_equal(np.nonzero(topo.boundary_mask)[0],
-                          sorted({u for u, _, _, _ in boundary}))
+                          sorted({u for u, _, _ in boundary}))
     ptr = topo.neighbor_ptr
     assert [topo.neighbors[ptr[i]:ptr[i + 1]].tolist() for i in range(mesh.n_vertices)] == rings
     assert topo.edges.tolist() == [list(e) for e in edges]
-    assert validate_mesh(mesh) == []
+    # the bowtie is flagged for its boundary alone, every sampler not at all
+    assert validate_mesh(mesh) == ([] if closed else
+                                   ["boundary loops do not partition the boundary vertices"])
 
 
 # sha256 of the vertices, faces and constrained flags of each builtin
@@ -165,11 +182,7 @@ def test_with_vertices_shares_topology():
 
 
 def test_open_boundary_chain_is_reported():
-    # two triangles sharing only vertex 0: vertex 0 has two outgoing edges
-    v = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [-1, 0, 0], [-1, -1, 0]], float)
-    bowtie = TriangleMesh(v, np.array([[0, 1, 2], [0, 3, 4]]))
-    assert bowtie.topology.boundary_loops is None
-    assert "boundary loops do not partition the boundary vertices" in validate_mesh(bowtie)
+    assert "boundary loops do not partition the boundary vertices" in validate_mesh(BOWTIE)
 
 
 # -- second fundamental form ------------------------------------------------
