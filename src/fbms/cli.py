@@ -55,22 +55,27 @@ def cmd_list(_args) -> int:
 
 
 def cmd_run(args) -> int:
+    out_root = Path(args.out)
     try:
         runs = [validate_config(_load_config(ref)) for ref in args.scenario]
+        names = [config["name"] for config, _ in runs]
+        if repeated := sorted({name for name in names if names.count(name) > 1}):
+            raise ScenarioError(f"two configs share a name, so a run directory: {repeated}")
+        for run_dir in (out_root / name for name in names):
+            # the nearest of run_dir and its ancestors that exists must be a directory
+            found = next(p for p in (run_dir, *run_dir.parents) if p.exists() or p.is_symlink())
+            if not found.is_dir():
+                raise ScenarioError(f"--out: {found} exists and is not a directory")
     except (OSError, ValueError) as exc:  # unreadable, not JSON, or invalid
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    out_root = Path(args.out)
     manifests = [_run(c, geometry, out_root / c["name"]) for c, geometry in runs]
 
     # the exit code says whether every outcome is the declared one
     ok = True
     for man in manifests:
         problems = man.mismatches()
-        if problems:
-            status = "FAIL"
-        else:
-            status = "pass" if man.all_passed() else "as expected"
+        status = "FAIL" if problems else "pass" if man.all_passed() else "as expected"
         print(f"{man.scenario}: {status} "
               f"(stages: {', '.join(f'{k}={v}' for k, v in sorted(man.stage_pass.items()))})")
         for problem in problems:
@@ -97,12 +102,8 @@ def emit_report_bundle(manifest_path) -> Path:
     with tarfile.open(target, "w", format=tarfile.USTAR_FORMAT) as tar:
         for name in members:
             data = (out_dir / name).read_bytes()
-            info = tarfile.TarInfo(name=name)
+            info = tarfile.TarInfo(name=name)  # mtime 0, uid/gid 0, no owner names, mode 0644
             info.size = len(data)
-            info.mtime = 0
-            info.uid = info.gid = 0
-            info.uname = info.gname = ""
-            info.mode = 0o644
             tar.addfile(info, io.BytesIO(data))
     return target
 

@@ -7,10 +7,10 @@ backtracking; a step is followed by nearest-point re-projection of the
 constrained vertices. Each search starts at the two-point step of Barzilai &
 Borwein (IMA J. Numer. Anal. 8, 1988; Raydan, SIAM J. Optim. 7, 1997) in its
 BB2 form s.y / (y.M^-1 y), with s the last accepted move, y the change of the
-admissible gradient and M the lumped vertex areas. It is capped by the
-displacement bound and by STEP_GROWTH times the last accepted step. Where
-s.y <= 0 the search starts at the step whose predicted decrease repeats the
-last accepted one (Nocedal & Wright, Numerical Optimization, section 3.5).
+admissible gradient and M the lumped vertex areas, capped only by the
+displacement bound. Where s.y <= 0 the search starts at the step whose
+predicted decrease repeats the last accepted one (Nocedal & Wright, Numerical
+Optimization, section 3.5).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .mesh import (
 
 ASPECT_RATIO_LIMIT = 50.0
 ARMIJO_C = 1e-4
-STEP_GROWTH = 2.0  # a search starts at most this many times the last accepted step
 ORTHO_TOL = 2e-2  # radians; the residual is resolution limited
 MAX_DISPLACEMENT_FRAC = 0.2  # of the shortest edge, per step
 H_TOL = 5e-2  # verify_minimal's bound on the interior mean curvature
@@ -168,7 +167,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
     area_history = [area]
     grad_history = []
     predicted = -np.inf  # t * slope of the last accepted step; -inf: start at the cap
-    s = t_last = g_last = None  # the last accepted move, its step, the gradient it left
+    s = g_last = None  # the last accepted move and the gradient it left
     trials = rejected = 0
     termination = "max_iterations"
     converged = False
@@ -195,18 +194,17 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         t_cap = MAX_DISPLACEMENT_FRAC * min_edge / max(gnorm, 1e-300)
 
         # Armijo backtracking with halving. The first trial is the BB2 step
-        # in the lumped-mass metric, at most STEP_GROWTH times the last
-        # accepted step; where s.y <= 0 it predicts the same decrease
-        # t * slope as the last accepted step (Nocedal & Wright, eq. 3.60).
-        # The constraint projection is part of the trial step, so sufficient
-        # decrease is tested on the actual next iterate.
+        # in the lumped-mass metric; where s.y <= 0 it predicts the same
+        # decrease t * slope as the last accepted step (Nocedal & Wright,
+        # eq. 3.60). The constraint projection is part of the trial step, so
+        # sufficient decrease is tested on the actual next iterate.
         t = predicted / slope
         if s is not None:
             y = g - g_last
             sy = s @ y.ravel()
             if sy > 0:
                 yy = (y / areas_v[:, None]).ravel() @ y.ravel()
-                t = min(sy / yy, STEP_GROWTH * t_last)
+                t = sy / yy
         t = min(t, t_cap)
         accepted = False
         for _ in range(30):
@@ -224,7 +222,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         if not accepted:
             termination = "line search failed 30 halvings"
             break
-        predicted, t_last = t * slope, t
+        predicted = t * slope
         s, g_last = (vcand - mesh.vertices).ravel(), g
         mesh, area, min_edge = cand, cand_area, cand_min_edge
         area_history.append(area)

@@ -78,6 +78,14 @@ def test_criterion_1_first_variation_oracle():
     report(1, ok, f"max relative mismatch {worst:.2e} over 20 pairs, {elapsed:.1f}s")
 
 
+def _critical_residual(mesh):
+    """|t tanh t - 1| for the catenoid through the mesh's neck that meets the
+    unit sphere: zero exactly at the critical catenoid."""
+    neck = float(np.linalg.norm(mesh.vertices[:, :2], axis=1).min())
+    t_hat = brentq(lambda t: neck**2 * (np.cosh(t) ** 2 + t**2) - 1.0, 0.1, 5.0)
+    return abs(t_hat * np.tanh(t_hat) - 1.0)
+
+
 def test_criterion_2_critical_catenoid():
     """Descent from a perturbed critical catenoid lands on the catenoid whose
     neck parameter solves t tanh t = 1."""
@@ -86,20 +94,18 @@ def test_criterion_2_critical_catenoid():
     rep = solve_minimal(mesh, SPHERE, SolveParams(max_iterations=2000))
     final = rep.final_mesh
     check = verify_minimal(final, SPHERE)
-    neck = float(np.linalg.norm(final.vertices[:, :2], axis=1).min())
-    t_hat = brentq(lambda t: neck**2 * (np.cosh(t) ** 2 + t**2) - 1.0, 0.1, 5.0)
-    crit_res = abs(t_hat * np.tanh(t_hat) - 1.0)
+    crit_res = _critical_residual(final)
     elapsed = time.time() - t0
-    # the first trial step is the two-point (BB2) step, capped at twice the
-    # last accepted one, or else predicts the last decrease: few are halved
+    # a first trial is the two-point (BB2) step under the displacement cap
+    # alone, or else predicts the last decrease: it is halved now and then,
+    # so the work is bounded, not the share of halvings
     monotone = bool(np.all(np.diff(rep.area_history) <= 0.0))
     ok = (
         check["max_interior_H"] <= 5e-2
         and check["free_boundary_residual"] <= 2e-2
         and crit_res <= 0.02
-        and rep.iterations <= 400
-        and rep.trials <= 400
-        and rep.rejected_trials <= 0.05 * rep.iterations
+        and rep.iterations <= 130
+        and rep.trials <= 150
         and monotone
         and elapsed < 60.0
     )
@@ -116,16 +122,37 @@ def test_criterion_2_critical_catenoid():
 
 
 def test_descent_on_finer_critical_catenoid():
-    """The step grows with the mesh: at 96 x 96 the descent stops within 600
-    iterations, where a first trial held near the explicit-flow limit
-    (about 0.4 h_min^2) needs more than 1,000."""
+    """The step grows with the mesh: at 96 x 96 the descent stops within 200
+    iterations and 220 trial meshes, where a first trial held near the
+    explicit-flow limit (about 0.4 h_min^2) needs more than 1,000 iterations."""
     rep = solve_minimal(perturbed_critical_catenoid(96, 96), SPHERE,
                         SolveParams(max_iterations=2000))
     assert rep.termination == "stationary"
-    assert rep.iterations <= 600
-    assert rep.rejected_trials <= 0.05 * rep.iterations
+    assert rep.iterations <= 200
+    assert rep.trials <= 220
     assert np.all(np.diff(rep.area_history) <= 0.0)
     assert verify_minimal(rep.final_mesh, SPHERE)["passes"]
+
+
+def test_descent_on_coarser_critical_catenoid():
+    """At 48 x 48 the descent reaches the critical catenoid too. (At 32 x 32
+    it still runs out of iterations.)"""
+    rep = solve_minimal(perturbed_critical_catenoid(48, 48), SPHERE,
+                        SolveParams(max_iterations=2000))
+    assert rep.termination == "stationary"
+    assert np.all(np.diff(rep.area_history) <= 0.0)
+    assert verify_minimal(rep.final_mesh, SPHERE)["passes"]
+    assert _critical_residual(rep.final_mesh) <= 0.02
+
+
+def test_descent_escapes_the_bulged_cap():
+    """From graph-over-disk's bulged cap the descent slides off the unstable
+    disk: 300 iterations lower the area but end on no minimal surface."""
+    rep = solve_minimal(spherical_cap_graph(0.1, 16, 48), SPHERE,
+                        SolveParams(max_iterations=300))
+    assert rep.termination == "max_iterations"
+    assert np.all(np.diff(rep.area_history) <= 0.0)
+    assert not verify_minimal(rep.final_mesh, SPHERE)["passes"]
 
 
 def test_criterion_3_stability_signs():

@@ -519,6 +519,32 @@ def test_cli_run_rejects_an_unreadable_config(tmp_path, capsys, case):
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]  # nothing written
 
 
+@pytest.mark.parametrize("case", ["file", "below-a-file", "run-directory-is-a-file"])
+def test_cli_run_rejects_an_out_that_is_not_a_directory(tmp_path, capsys, case):
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = {"file": afile, "below-a-file": afile / "sub", "run-directory-is-a-file": tmp_path}[case]
+    if case == "run-directory-is-a-file":
+        (tmp_path / "strip-on-plane").write_text("kept")
+    before = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    assert cli_main(["run", "radial-segment-k1", "strip-on-plane", "--out", str(out)]) == 2
+    assert "not a directory" in json.loads(capsys.readouterr().err)["error"]
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before  # nothing written
+
+
+@pytest.mark.parametrize("case", ["two-files", "one-builtin-twice"])
+def test_cli_run_rejects_two_configs_with_one_name(tmp_path, capsys, case):
+    refs = ["strip-on-plane", "strip-on-plane"]
+    if case == "two-files":
+        refs = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        for ref in refs:
+            Path(ref).write_text(json.dumps(dict(_strip_config(), name="same")))
+    out = tmp_path / "out"
+    assert cli_main(["run", *refs, "--out", str(out)]) == 2
+    assert "share a name" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()  # nothing written
+
+
 def test_cli_run_builds_each_builtin_mesh_once(tmp_path, capsys, monkeypatch):
     # validation builds a builtin mesh, and the run takes that mesh
     built = []
