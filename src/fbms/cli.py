@@ -19,7 +19,7 @@ from .scenarios import (
     _run,
     _stages_run,
     builtin_scenarios,
-    is_path_component,
+    manifest_outputs,
     validate_config,
 )
 
@@ -87,10 +87,7 @@ def cmd_run(args) -> int:
 def emit_report_bundle(manifest_path) -> Path:
     """Packs the manifest and all stage outputs into a deterministic tar."""
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
-    outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
-    if not (isinstance(outputs, (dict, list)) and all(map(is_path_component, outputs))):
-        raise ValueError(f"{manifest_path}: outputs must name the stage output files beside it")
+    outputs = manifest_outputs(manifest_path)
     out_dir = manifest_path.parent
     members = ["manifest.json"] + sorted(outputs)
     missing = [m for m in members if not (out_dir / m).exists()]

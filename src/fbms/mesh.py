@@ -38,7 +38,6 @@ class Topology:
                         meets an unconstrained (pinned) boundary arc
       pinned            (n,) boundary vertex held fixed: unconstrained, or a corner
       sliding           (n,) constrained vertex that slides on N: not a corner
-      neighbor_ptr, neighbors   1-ring in CSR form, neighbors ascending
     """
 
     def __init__(self, faces, constrained):
@@ -64,13 +63,6 @@ class Topology:
         self.corner[self.boundary_edges[mixed][ends[mixed]]] = True
         self.pinned = (self.boundary_mask & ~constrained) | self.corner
         self.sliding = constrained & ~self.corner
-
-        both = np.concatenate([self.edges, self.edges[:, ::-1]])
-        both = both[np.argsort(both[:, 0] * n + both[:, 1])]
-        self.neighbors = both[:, 1]
-        self.neighbor_ptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(both[:, 0], minlength=n))]
-        )
         _read_only(*vars(self).values())
 
 
@@ -192,6 +184,16 @@ class TriangleMesh:
         d = self.vertices[be[:, 0]] - self.vertices[be[:, 1]]
         half = 0.5 * np.sqrt(np.vecdot(d, d))
         return np.bincount(be.T.ravel(), np.tile(half, 2), minlength=self.n_vertices)
+
+    def sliding_feet(self, constraint):
+        """(idx, feet, normals): the sliding vertices, their nearest points on N
+        and N's unit normal there; projected once per constraint, kept read-only."""
+        if getattr(self, "_feet", (None,))[0] is not constraint:
+            feet = constraint.project(self.vertices[self.topology.sliding])
+            self._feet = (constraint, np.nonzero(self.topology.sliding)[0], feet,
+                          constraint.unit_normal(feet))
+            _read_only(*self._feet[1:])
+        return self._feet[1:]
 
 
 def _scatter_corners(mesh, values):
@@ -332,51 +334,38 @@ def area_gradient_raw(mesh: TriangleMesh) -> np.ndarray:
     return _scatter_corners(mesh, np.concatenate([0.5 * _cross(nhat, s) for s in sides], axis=1))
 
 
-def second_fundamental_norm(mesh: TriangleMesh):
-    """Per-vertex |A|^2 from a least-squares shape-operator fit over the 1-ring.
+def second_fundamental_norm(mesh: TriangleMesh, constraint) -> np.ndarray:
+    """Per-vertex |A|^2 = |H|^2 - 2K; NaN at the pinned vertices.
 
-    At vertex i, with u_j and w_j the tangent-plane coordinates of x_j - x_i
-    and nu_j - nu_i over the neighbors j, the shape operator S minimizes
-    sum |S^T u_j - w_j|^2; all vertices are solved at once from their 2x2
-    normal equations. Returns (field, unreliable) where `unreliable` lists
-    vertices with fewer than 3 neighbors or whose u_j do not span the tangent
-    plane (smallest singular value at most 1e-10).
+    K is the angle defect (2 pi, or pi on the boundary, minus the angle sum)
+    over the lumped vertex area (Meyer, Desbrun, Schroeder & Barr 2003). At a
+    sliding vertex Gauss-Bonnet also subtracts k_g l, l the boundary length
+    weight; on a free-boundary surface the geodesic curvature of the boundary
+    is k_g = h^N(T, T), T the boundary tangent x_next - x_prev made tangent
+    to N at the vertex's foot. |H|^2 is taken as 0 on the boundary, where the
+    cotangent H carries the conormal term: right on a minimal surface.
     """
-    normals = vertex_normals(mesh)
+    sides, _, lengths = mesh._frame
+    # the angle at corner c lies between the sides s_{c+1} and s_{c+2}
+    angles = [np.arctan2(lengths, -_dot(sides[(c + 1) % 3], sides[(c + 2) % 3]))
+              for c in range(3)]
     topo = mesh.topology
-    n = mesh.n_vertices
-    rows = np.repeat(np.arange(n), np.diff(topo.neighbor_ptr))
-    cols = topo.neighbors
-    t1 = _any_orthonormal(normals)
-    t2 = np.cross(normals, t1)
-    e = mesh.vertices[cols] - mesh.vertices[rows]
-    dn = normals[cols] - normals[rows]
-    u = [np.einsum("ij,ij->i", e, t[rows]) for t in (t1, t2)]
-    w = [np.einsum("ij,ij->i", dn, t[rows]) for t in (t1, t2)]
-
-    def vsum(x):
-        return np.bincount(rows, x, minlength=n)
-
-    a, b, c = vsum(u[0] * u[0]), vsum(u[0] * u[1]), vsum(u[1] * u[1])
-    # the Gram determinant a c - b^2 as a times the squared residual of the
-    # second column against the first, free of cancellation
-    ratio = np.divide(b, a, out=np.zeros(n), where=a > 0)
-    r = u[1] - ratio[rows] * u[0]
-    det = a * vsum(r * r)
-    lam_max = 0.5 * (a + c + np.hypot(a - c, 2.0 * b))
-    sigma_min_sq = np.divide(det, lam_max, out=np.zeros(n), where=lam_max > 0)
-    reliable = (np.diff(topo.neighbor_ptr) >= 3) & (sigma_min_sq > 1e-20)
-
-    # S = G^{-1} B with G = [[a, b], [b, c]] and B[p, q] = sum u_p w_q
-    B = [[vsum(u[p] * w[q]) for q in (0, 1)] for p in (0, 1)]
-    inv_det = np.divide(1.0, det, out=np.zeros(n), where=reliable)
-    s00 = (c * B[0][0] - b * B[1][0]) * inv_det
-    s01 = (c * B[0][1] - b * B[1][1]) * inv_det
-    s10 = (a * B[1][0] - b * B[0][0]) * inv_det
-    s11 = (a * B[1][1] - b * B[0][1]) * inv_det
-    sym = 0.5 * (s01 + s10)  # shape operator, symmetrized
-    values = np.where(reliable, s00 * s00 + 2.0 * sym * sym + s11 * s11, 0.0)
-    return values, np.nonzero(~reliable)[0].tolist()
+    defect = np.where(topo.boundary_mask, np.pi, 2.0 * np.pi)
+    defect -= _scatter_corners(mesh, np.concatenate(angles))
+    idx, feet, nhat = mesh.sliding_feet(constraint)
+    be, t = topo.boundary_edges, np.zeros_like(mesh.vertices)
+    t[be[:, 0]] += mesh.vertices[be[:, 1]]  # + x_next: each boundary vertex is the
+    t[be[:, 1]] -= mesh.vertices[be[:, 0]]  # - x_prev  tail of one edge, head of one
+    t = t[idx] - np.vecdot(t[idx], nhat)[:, None] * nhat
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    # h^N(T, T) l is exact in the smooth limit and second order on the disk
+    # and the half catenoid's waist; the boundary polygon's turning angle is
+    # exact on the disk but first order on the critical catenoid's rims
+    kg = constraint.normal_second_form(feet, t)
+    defect[idx] -= kg * mesh.boundary_length_weights()[idx]
+    H = mean_curvature_vector(mesh)
+    h2 = np.where(topo.boundary_mask, 0.0, np.vecdot(H, H))
+    return np.where(topo.pinned, np.nan, h2 - 2.0 * defect / mesh.vertex_areas())
 
 
 def _conormals(mesh: TriangleMesh) -> np.ndarray:

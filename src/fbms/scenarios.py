@@ -274,6 +274,15 @@ def is_path_component(name) -> bool:
     return isinstance(name, str) and name not in ("", ".", "..") and not {"/", "\\"} & set(name)
 
 
+def manifest_outputs(manifest_path) -> list:
+    """The output names a run's manifest lists; ValueError unless each names a file beside it."""
+    manifest = json.loads(Path(manifest_path).read_text())
+    outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
+    if not (isinstance(outputs, (dict, list)) and all(map(is_path_component, outputs))):
+        raise ValueError(f"{manifest_path}: outputs must name the stage output files beside it")
+    return list(outputs)
+
+
 def validate_config(config: dict):
     """Fail-closed schema check. Returns a deep copy with defaults filled,
     and the geometry the check built: a builtin mesh or a polyline; None for
@@ -547,6 +556,17 @@ def run_scenario(config: dict, out_dir) -> RunManifest:
     return _run(*validate_config(config), out_dir)
 
 
+def _clear_previous_run(out: Path):
+    """Deletes an earlier run's listed outputs, OBJ sidecars, timings, failure report and bundle."""
+    try:
+        names = manifest_outputs(out / "manifest.json")
+    except (OSError, ValueError):  # absent, unreadable, or not a manifest
+        names = []
+    names += [Path(n).with_suffix(".constrained.json").name for n in names if n.endswith(".obj")]
+    for name in names + ["timings.json", "failure.json", "bundle.tar"]:
+        (out / name).unlink(missing_ok=True)
+
+
 def _run(config, geometry, out_dir) -> RunManifest:
     """run_scenario on a config and geometry that validate_config returned."""
     out = Path(out_dir)
@@ -563,6 +583,7 @@ def _run(config, geometry, out_dir) -> RunManifest:
     stage = "setup"
     check = None  # the verify stage's result, reused by later stages
     try:
+        _clear_previous_run(out)
         if geometry is None:
             geometry = _build_geometry(config["initial_mesh"])
         constraint = constraint_from_spec(config["constraint"])

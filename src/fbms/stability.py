@@ -2,12 +2,15 @@
 
 Q(f) = integral |grad f|^2 - |A|^2 f^2 over the surface, minus the Robin-type
 boundary term (second form of the constraint in the surface-normal direction)
-integrated along the constrained boundary. The ambient is flat, so there is
-no Ricci term. Stability means Q >= 0 on all scalar fields, certified by the
-lowest generalized eigenvalue, which ARPACK finds in shift-invert mode
-started from the constant field rather than a random vector. The shifted
-operator is factored once per eigensolve, on a symmetric minimum-degree
-ordering with diagonal pivots; the shift keeps it diagonally dominant.
+integrated along the sliding boundary. The ambient is flat, so there is no
+Ricci term, and |A|^2 comes from Gauss-Bonnet (`second_fundamental_norm`).
+f vanishes on the pinned boundary, as the solver holds it fixed: the form
+leaves those rows out (a Dirichlet condition). Stability means Q >= 0 on all
+such fields, certified by the lowest generalized eigenvalue, which ARPACK
+finds in shift-invert mode started from the constant field rather than a
+random vector. The shifted operator is factored once per eigensolve, on a
+symmetric minimum-degree ordering with diagonal pivots; the shift keeps it
+diagonally dominant.
 
 The pipeline verifies the mesh as minimal before this stage and hands the
 result to the assembly, which verifies only when called without it.
@@ -38,20 +41,22 @@ class StabilityForm:
     """Assembled matrices of the quadratic form Q(f) = f^T (K - P - B) f.
 
     stiffness K carries the Dirichlet energy, potential P the lumped |A|^2
-    term, boundary B the lumped constraint second-form term (supported on
-    constrained boundary vertices only), mass M the lumped vertex areas.
+    term, boundary B the lumped constraint second-form term (nonzero on
+    sliding vertices only), mass M the lumped vertex areas. Row i is mesh
+    vertex admissible[i]: the vertices not pinned, as f is 0 on those.
     """
 
     stiffness: sp.csr_matrix
     potential: sp.csr_matrix
     boundary: sp.csr_matrix
     mass: sp.csr_matrix
+    admissible: np.ndarray
 
     def __post_init__(self):
-        n = self.mass.shape[0]
+        n = len(self.admissible)
         for m in (self.stiffness, self.potential, self.boundary, self.mass):
             if m.shape != (n, n):
-                raise ValueError("form matrices must share one size")
+                raise ValueError("form matrices must have one row per admissible vertex")
             if (m != m.T).nnz:
                 raise ValueError("form matrices must be symmetric")
         if np.any(self.mass.diagonal() <= 0):
@@ -78,25 +83,9 @@ class StabilityReport:
         }
 
 
-def _boundary_second_form_values(mesh: TriangleMesh, constraint):
-    """Constraint second form in the surface-normal direction, per constrained
-    boundary vertex, evaluated at the projected foot point."""
-    idx = np.nonzero(mesh.constrained)[0]
-    nu = vertex_normals(mesh)[idx]
-    feet = constraint.project(mesh.vertices[idx])
-    nhat = constraint.unit_normal(feet)
-    # the surface normal is tangent to N only up to the orthogonality
-    # residual; project it before evaluating the second form
-    v = nu - np.vecdot(nu, nhat)[:, None] * nhat
-    vn = np.linalg.norm(v, axis=1)
-    ok = vn >= 1e-12
-    vals = np.zeros(len(idx))
-    vals[ok] = constraint.normal_second_form(feet[ok], v[ok] / vn[ok, None])
-    return idx, vals
-
-
 def assemble_stability_form(mesh: TriangleMesh, constraint, check=None) -> StabilityForm:
-    """Lumped finite-element assembly of the second-variation form.
+    """Lumped finite-element assembly of the second-variation form on the
+    vertices that are not pinned.
 
     check is verify_minimal's result for this mesh and constraint; it is
     computed when not given.
@@ -108,26 +97,31 @@ def assemble_stability_form(mesh: TriangleMesh, constraint, check=None) -> Stabi
             "mesh does not verify as minimal "
             f"(max|H|={check['max_interior_H']:.3g}, "
             f"ortho={check['free_boundary_residual']:.3g}); "
-            "the form is assembled anyway",
+            "the form is assembled anyway, with |H|^2 taken as 0 on the "
+            "boundary in |A|^2 = |H|^2 - 2K",
             stacklevel=2,
         )
-    n = mesh.n_vertices
-    stiffness = cotangent_laplacian(mesh)
+    # B: N's second form along the surface normal, at each sliding vertex's foot;
+    # the normal is tangent to N only up to the orthogonality residual
+    idx, feet, nhat = mesh.sliding_feet(constraint)
+    nu = vertex_normals(mesh)[idx]
+    v = nu - np.vecdot(nu, nhat)[:, None] * nhat
+    vn = np.linalg.norm(v, axis=1)
+    ok = vn >= 1e-12
+    bvals = np.zeros(mesh.n_vertices)
+    bvals[idx[ok]] = constraint.normal_second_form(feet[ok], v[ok] / vn[ok, None])
+    bvals *= mesh.boundary_length_weights()
+    admissible = np.nonzero(~mesh.topology.pinned)[0]
     areas = mesh.vertex_areas()
-    a2, unreliable = second_fundamental_norm(mesh)
-    if unreliable:
-        warnings.warn(
-            f"unreliable |A|^2 at vertices {unreliable}", stacklevel=2
-        )
-    potential = sp.diags(a2 * areas, format="csr")
-    bvals = np.zeros(n)
-    idx, second = _boundary_second_form_values(mesh, constraint)
-    if len(idx):
-        lengths = mesh.boundary_length_weights()
-        bvals[idx] = second * lengths[idx]
-    boundary = sp.diags(bvals, format="csr")
-    mass = sp.diags(areas, format="csr")
-    return StabilityForm(stiffness, potential, boundary, mass)
+    potential = second_fundamental_norm(mesh, constraint) * areas
+    L = cotangent_laplacian(mesh)
+    return StabilityForm(
+        stiffness=L[admissible][:, admissible],
+        potential=sp.diags(potential[admissible], format="csr"),
+        boundary=sp.diags(bvals[admissible], format="csr"),
+        mass=sp.diags(areas[admissible], format="csr"),
+        admissible=admissible,
+    )
 
 
 def lowest_eigenpair(form: StabilityForm):
@@ -176,7 +170,9 @@ def lowest_eigenpair(form: StabilityForm):
 
 def is_stable(mesh: TriangleMesh, constraint, check=None) -> StabilityReport:
     form = assemble_stability_form(mesh, constraint, check)
-    lam, f, res = lowest_eigenpair(form)
+    lam, x, res = lowest_eigenpair(form)
+    f = np.zeros(mesh.n_vertices)  # one entry per vertex, 0 on the pinned ones
+    f[form.admissible] = x
     return StabilityReport(
         lambda_min=lam,
         eigenfunction=f,

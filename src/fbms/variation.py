@@ -126,13 +126,9 @@ def area_gradient(mesh: TriangleMesh, constraint) -> np.ndarray:
     zero, the corners too, as their gradient mixes both arcs (O(h) spurious).
     """
     g = area_gradient_raw(mesh)
-    topo = mesh.topology
-    g[topo.pinned] = 0.0
-    idx = np.nonzero(topo.sliding)[0]
-    if len(idx):
-        feet = constraint.project(mesh.vertices[idx])
-        n = constraint.unit_normal(feet)
-        g[idx] -= np.einsum("ij,ij->i", g[idx], n)[:, None] * n
+    g[mesh.topology.pinned] = 0.0
+    idx, _, n = mesh.sliding_feet(constraint)
+    g[idx] -= np.einsum("ij,ij->i", g[idx], n)[:, None] * n
     return g
 
 

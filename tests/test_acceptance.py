@@ -3,7 +3,6 @@ PASS/FAIL line. Expected values come from closed forms or independent
 numerical oracles, never from the code under test."""
 
 import time
-import warnings
 
 import numpy as np
 from scipy.optimize import brentq
@@ -156,26 +155,29 @@ def test_descent_escapes_the_bulged_cap():
 
 
 def test_criterion_3_stability_signs():
-    """Flat strip neutrally stable; equatorial disk unstable with Q(1) = -2 pi
-    and lambda_min below the constant-function Rayleigh quotient."""
+    """Flat strip stable, lambda_min near 5 pi^2 / 4 (Dirichlet on its three
+    pinned sides, Neumann on the sliding one); equatorial disk unstable with
+    Q(1) = -2 pi and lambda_min below the constant-function Rayleigh
+    quotient."""
     t0 = time.time()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        strip = strip_on_plane(12)
-        form_s = assemble_stability_form(strip, Plane(np.zeros(3), [1.0, 0, 0]))
-        lam_s, _, _ = lowest_eigenpair(form_s)
-        d = disk(1.0, 24, 48)
-        form_d = assemble_stability_form(d, SPHERE)
-        one = np.ones(d.n_vertices)
-        q1 = float(one @ (form_d.operator() @ one))
-        rayleigh = q1 / float(one @ (form_d.mass @ one))
-        lam_d, _, res_d = lowest_eigenpair(form_d)
+    strip = strip_on_plane(12)
+    form_s = assemble_stability_form(strip, Plane(np.zeros(3), [1.0, 0, 0]))
+    lam_s, _, _ = lowest_eigenpair(form_s)
+    d = disk(1.0, 24, 48)
+    form_d = assemble_stability_form(d, SPHERE)
+    one = np.ones(d.n_vertices)
+    q1 = float(one @ (form_d.operator() @ one))
+    rayleigh = q1 / float(one @ (form_d.mass @ one))
+    lam_d, _, res_d = lowest_eigenpair(form_d)
     elapsed = time.time() - t0
-    # independent oracle: Q(1) = -perimeter = -2 pi; the Rayleigh quotient of
-    # the constant uses the true disk area pi, giving -2 (not the -4 quoted
-    # with area pi/2); lambda_min must undercut it with 5% headroom
+    # independent oracles: the strip's lowest mode is cos(pi x / 2) sin(pi y),
+    # with lambda = (pi / 2)^2 + pi^2; Q(1) = -perimeter = -2 pi on the disk,
+    # whose constant has the Rayleigh quotient -2 with the true area pi;
+    # lambda_min must undercut it with 5% headroom
+    strip_target = 1.25 * np.pi**2
     ok = (
         lam_s >= -1e-8
+        and abs(lam_s - strip_target) <= 0.01 * strip_target
         and abs(q1 + 2 * np.pi) <= 0.02 * 2 * np.pi
         and lam_d <= rayleigh * (1 - 0.05)
         and res_d <= 1e-8
@@ -184,7 +186,8 @@ def test_criterion_3_stability_signs():
     report(
         3,
         ok,
-        f"strip lam_min={lam_s:.2e}, disk Q(1)={q1:.4f} (target -2pi), "
+        f"strip lam_min={lam_s:.4f} (target 5pi^2/4={strip_target:.4f}), "
+        f"disk Q(1)={q1:.4f} (target -2pi), "
         f"disk lam_min={lam_d:.4f} <= Rayleigh {rayleigh:.4f} x 0.95, "
         f"{elapsed:.1f}s",
     )
@@ -286,48 +289,49 @@ def test_criterion_8_reflection_principle():
 def test_criterion_9_curvature_survey():
     """Survey statistic sup |A| dist is bounded on the stable family and
     invariant under rescaling to 1%."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rows = []
-        for radius in (1.0, 2.0, 4.0):
-            m = disk(radius, 12, 36)
-            a2, _ = second_fundamental_norm(m)
-            rows.append({
-                "name": f"disk-r{radius}",
-                "mesh": m,
-                "curvature": np.sqrt(np.maximum(a2, 0.0)),
-                "stable": True,
-                "lambda_min": 0.0,
-            })
-        cat = critical_catenoid(32, 32)
-        a2c, _ = second_fundamental_norm(cat)
+    rows = []
+    for radius in (1.0, 2.0, 4.0):
+        m = disk(radius, 12, 36)
+        a2 = second_fundamental_norm(m, Sphere(np.zeros(3), radius))
         rows.append({
-            "name": "critical-catenoid",
-            "mesh": cat,
-            "curvature": np.sqrt(np.maximum(a2c, 0.0)),
-            "stable": False,
-            "lambda_min": -1.0,
-        })
-        p = np.zeros(3)
-        out, summary = curvature_survey(rows, (p, 1.0))
-        flat_sup = max(r.sup_norm for r in out if r.scenario.startswith("disk"))
-
-        # rescale covariance on the catenoid: |A| scales by 1/lam, dist by lam
-        lam = 2.0
-        cat2, _ = rescale(cat, SPHERE, RescaleMap(p, lam))
-        a2c2, _ = second_fundamental_norm(cat2)
-        row2 = [{
-            "name": "critical-catenoid-rescaled",
-            "mesh": cat2,
-            "curvature": np.sqrt(np.maximum(a2c2, 0.0)),
+            "name": f"disk-r{radius}",
+            "mesh": m,
+            "curvature": np.sqrt(np.maximum(a2, 0.0)),
             "stable": True,
             "lambda_min": 0.0,
-        }]
-        out2, _ = curvature_survey(row2, (p, lam * 1.0))
-        base = [r for r in out if r.scenario == "critical-catenoid"][0].sup_norm
-        covariance = abs(out2[0].sup_norm - base) / base
+        })
+    cat = critical_catenoid(32, 32)
+    a2c = second_fundamental_norm(cat, SPHERE)
+    rows.append({
+        "name": "critical-catenoid",
+        "mesh": cat,
+        "curvature": np.sqrt(np.maximum(a2c, 0.0)),
+        "stable": False,
+        "lambda_min": -1.0,
+    })
+    p = np.zeros(3)
+    out, summary = curvature_survey(rows, (p, 1.0))
+    flat_sup = max(r.sup_norm for r in out if r.scenario.startswith("disk"))
+
+    # rescale covariance on the catenoid: |A| scales by 1/lam, dist by lam
+    lam = 2.0
+    cat2, sphere2 = rescale(cat, SPHERE, RescaleMap(p, lam))
+    a2c2 = second_fundamental_norm(cat2, sphere2)
+    row2 = [{
+        "name": "critical-catenoid-rescaled",
+        "mesh": cat2,
+        "curvature": np.sqrt(np.maximum(a2c2, 0.0)),
+        "stable": True,
+        "lambda_min": 0.0,
+    }]
+    out2, _ = curvature_survey(row2, (p, lam * 1.0))
+    base = [r for r in out if r.scenario == "critical-catenoid"][0].sup_norm
+    covariance = abs(out2[0].sup_norm - base) / base
     excluded = "critical-catenoid" in summary["excluded"]
-    ok = flat_sup <= 1e-10 and excluded and covariance <= 0.01
+    # the flat family reads 0 up to rounding: an angle sum misses 2 pi by
+    # about 1e-15, which puts up to about 1e-12 into |A|^2 on these cells and
+    # so 1e-6 into |A| (the critical catenoid reads 1.66)
+    ok = flat_sup <= 1e-5 and excluded and covariance <= 0.01
     report(
         9,
         ok,

@@ -125,17 +125,18 @@ def test_report_files_parse(tmp_path):
 
 
 def test_stability_warnings_are_recorded(tmp_path):
-    # the strip's grid corners have two neighbors: |A|^2 is unreliable there
     run_scenario(_strip_config(), tmp_path / "strip")
     stability = json.loads((tmp_path / "strip" / "stability.json").read_text())
-    assert stability["warnings"] == ["unreliable |A|^2 at vertices [12, 156]"]
+    assert stability["warnings"] == []
     cfg = builtin_scenarios()["disk-in-ball"]
     cfg = dict(cfg, solver=None, analysis={"stability": True},
                initial_mesh={"builtin": "spherical_cap_graph", "params": {"bulge": 0.1}})
     run_scenario(cfg, tmp_path / "cap")
     stability = json.loads((tmp_path / "cap" / "stability.json").read_text())
-    assert [w.split(" (")[0] for w in stability["warnings"]] == [
-        "mesh does not verify as minimal"]
+    # the report says what it approximated on a mesh that is not minimal
+    (warning,) = stability["warnings"]
+    assert warning.startswith("mesh does not verify as minimal (")
+    assert warning.endswith("with |H|^2 taken as 0 on the boundary in |A|^2 = |H|^2 - 2K")
 
 
 def test_disk_in_ball_builds_one_laplacian(tmp_path, monkeypatch):
@@ -543,6 +544,24 @@ def test_cli_run_rejects_two_configs_with_one_name(tmp_path, capsys, case):
     assert cli_main(["run", *refs, "--out", str(out)]) == 2
     assert "share a name" in json.loads(capsys.readouterr().err)["error"]
     assert not out.exists()  # nothing written
+
+
+def test_cli_run_into_a_used_directory_leaves_only_its_own_outputs(tmp_path, capsys):
+    # a second run into one run directory deletes the first run's outputs,
+    # their OBJ sidecars, timings and bundle, and no other file
+    assert cli_main(["run", "disk-in-ball", "--out", str(tmp_path)]) == 0
+    run_dir = tmp_path / "disk-in-ball"
+    emit_report_bundle(run_dir / "manifest.json")
+    (run_dir / "notes.txt").write_text("kept")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(builtin_scenarios()["disk-in-ball"],
+                                    analysis={"stability": True})))
+    assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    outputs = json.loads((run_dir / "manifest.json").read_text())["outputs"]
+    assert sorted(outputs) == ["final_mesh.obj", "solve.json", "stability.json", "verify.json"]
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted(
+        [*outputs, "final_mesh.constrained.json", "manifest.json", "notes.txt", "timings.json"])
 
 
 def test_cli_run_builds_each_builtin_mesh_once(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fbms.constraints import Plane, Sphere
 from fbms.mesh import (
     TriangleMesh,
     _conormals,
@@ -20,9 +21,13 @@ from fbms.mesh import (
 )
 from fbms.obj_io import read_obj, write_obj
 from fbms.samplers import (
+    CRITICAL_CATENOID_T0,
     catenoid,
+    catenoid_scale_for_unit_sphere,
+    critical_catenoid,
     disk,
     grid_patch,
+    half_catenoid,
     half_disk,
     icosphere,
     strip_on_plane,
@@ -73,9 +78,30 @@ def test_sphere_mean_curvature_magnitude_and_direction():
 
 def test_sphere_second_fundamental_norm():
     m = icosphere(3)
-    a2, unreliable = second_fundamental_norm(m)
-    assert not unreliable
+    a2 = second_fundamental_norm(m, Sphere((0, 0, 0), 1.0))
     assert abs(np.median(a2) - 2.0) < 0.1
+
+
+def test_second_fundamental_norm_converges_at_second_order():
+    # |A|^2 = 2 c^2 / r^4 on a catenoid of waist radius c, with r the
+    # distance to its axis. The max error over max |A|^2, on the critical
+    # catenoid's interior and on the half catenoid's waist (sliding on z = 0,
+    # where k_g = 0), falls by about 4 per halving of h
+    c = catenoid_scale_for_unit_sphere(CRITICAL_CATENOID_T0)
+    interior, waist = [], []
+    for n in (16, 32, 64):
+        m = critical_catenoid(n, n)
+        r = np.linalg.norm(m.vertices[:, :2], axis=1)
+        exact = 2.0 * c**2 / r**4
+        err = np.abs(second_fundamental_norm(m, Sphere((0, 0, 0), 1.0)) - exact)
+        interior.append(err[~m.is_boundary_vertex()].max() / exact.max())
+        m = half_catenoid(1.2, n, 2 * n)
+        r = np.linalg.norm(m.vertices[:, :2], axis=1)
+        exact = 2.0 / r**4
+        err = np.abs(second_fundamental_norm(m, Plane((0, 0, 0), (0, 0, 1))) - exact)
+        waist.append(err[m.topology.sliding].max() / exact.max())
+    for errors in (interior, waist):
+        assert all(3.5 <= coarse / fine <= 4.5 for coarse, fine in zip(errors, errors[1:]))
 
 
 def test_catenoid_interior_curvature_small():

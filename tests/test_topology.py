@@ -11,12 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbms.blowup import reflect_double
+from fbms.constraints import Plane, Sphere
 from fbms.mesh import (
     COT_CLAMP,
     TriangleMesh,
     _conormals,
     area_gradient_raw,
     cotangent_laplacian,
+    mean_curvature_vector,
     refine,
     second_fundamental_norm,
     total_area,
@@ -65,8 +67,8 @@ def _shuffled(mesh, seed):
 
 def _oracle(mesh):
     """Boundary edges, opposite vertices, whether the boundary walk closes up
-    into loops, corners and 1-rings from Python dicts, the way the face loops
-    used to build them."""
+    into loops and corners from Python dicts, the way the face loops used to
+    build them."""
     directed = {}
     for fi, (a, b, c) in enumerate(mesh.faces.tolist()):
         for u, v, o in ((a, b, c), (b, c, a), (c, a, b)):
@@ -82,11 +84,7 @@ def _oracle(mesh):
     for u, v, _ in boundary:
         if mesh.constrained[u] != mesh.constrained[v]:
             corner.add(u if mesh.constrained[u] else v)
-    rings = [set() for _ in range(mesh.n_vertices)]
-    for u, v in undirected:
-        rings[u].add(v)
-        rings[v].add(u)
-    return boundary, _loops_close(boundary), corner, [sorted(r) for r in rings], sorted(undirected)
+    return boundary, _loops_close(boundary), corner, sorted(undirected)
 
 
 def _loops_close(boundary):
@@ -117,7 +115,7 @@ def _loops_close(boundary):
 def test_topology_matches_dict_oracle(name, seed):
     mesh = _shuffled(SAMPLERS[name](), seed)
     topo = mesh.topology
-    boundary, closed, corner, rings, edges = _oracle(mesh)
+    boundary, closed, corner, edges = _oracle(mesh)
     got = list(zip(topo.boundary_edges[:, 0].tolist(), topo.boundary_edges[:, 1].tolist(),
                    topo.boundary_opposite.tolist()))
     assert got == boundary
@@ -128,8 +126,6 @@ def test_topology_matches_dict_oracle(name, seed):
     assert set(np.nonzero(topo.sliding)[0].tolist()) == constrained - corner
     assert np.array_equal(np.nonzero(topo.boundary_mask)[0],
                           sorted({u for u, _, _ in boundary}))
-    ptr = topo.neighbor_ptr
-    assert [topo.neighbors[ptr[i]:ptr[i + 1]].tolist() for i in range(mesh.n_vertices)] == rings
     assert topo.edges.tolist() == [list(e) for e in edges]
     # the bowtie is flagged for its boundary alone, every sampler not at all
     assert validate_mesh(mesh) == ([] if closed else
@@ -188,61 +184,52 @@ def test_open_boundary_chain_is_reported():
 # -- second fundamental form ------------------------------------------------
 
 
-def _any_orthonormal_row(n):
-    k = np.argmin(np.abs(n))
-    e = np.zeros(3)
-    e[k] = 1.0
-    t = np.cross(n, e)
-    return t / np.linalg.norm(t)
-
-
-def _second_fundamental_norm_lstsq(mesh):
-    """Per-vertex least-squares shape operator, one lstsq per vertex."""
-    normals = vertex_normals(mesh)
-    neighbors = [set() for _ in range(mesh.n_vertices)]
-    for a, b, c in mesh.faces.tolist():
-        neighbors[a].update((b, c))
-        neighbors[b].update((a, c))
-        neighbors[c].update((a, b))
-    values = np.zeros(mesh.n_vertices)
-    unreliable = []
+def _second_fundamental_norm_loop(mesh, constraint):
+    """|H|^2 - 2K one vertex at a time: the angle sum from arccos over each
+    incident face, and k_g from the neighbors along the boundary loop."""
+    v = mesh.vertices
+    angle_sum = np.zeros(mesh.n_vertices)
+    for face in mesh.faces.tolist():
+        for k in range(3):
+            i, j, o = face[k], face[(k + 1) % 3], face[(k + 2) % 3]
+            a, b = v[j] - v[i], v[o] - v[i]
+            angle_sum[i] += np.arccos(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+    boundary = {u: w for u, w in mesh.boundary_edges().tolist()}
+    before = {w: u for u, w in boundary.items()}
+    H = mean_curvature_vector(mesh)
+    areas = mesh.vertex_areas()
+    topo = mesh.topology
+    values = np.full(mesh.n_vertices, np.nan)
     for i in range(mesh.n_vertices):
-        nb = sorted(neighbors[i])
-        t1 = _any_orthonormal_row(normals[i])
-        t2 = np.cross(normals[i], t1)
-        e = mesh.vertices[nb] - mesh.vertices[i]
-        dn = normals[nb] - normals[i]
-        U = np.stack([e @ t1, e @ t2], axis=1)
-        W = np.stack([dn @ t1, dn @ t2], axis=1)
-        if len(nb) < 3 or np.linalg.matrix_rank(U, tol=1e-10) < 2:
-            unreliable.append(i)
+        if topo.pinned[i]:
             continue
-        S, *_ = np.linalg.lstsq(U, W, rcond=None)
-        S = 0.5 * (S + S.T)
-        values[i] = float(np.sum(S * S))
-    return values, unreliable
+        if i not in boundary:
+            values[i] = H[i] @ H[i] - 2.0 * (2.0 * np.pi - angle_sum[i]) / areas[i]
+            continue
+        foot = constraint.project(v[i][None])[0]
+        n = constraint.unit_normal(foot)
+        t = v[boundary[i]] - v[before[i]]
+        t = t - (t @ n) * n
+        kg = constraint.normal_second_form(foot, t / np.linalg.norm(t))
+        ell = 0.5 * (np.linalg.norm(v[boundary[i]] - v[i]) + np.linalg.norm(v[i] - v[before[i]]))
+        values[i] = -2.0 * (np.pi - angle_sum[i] - kg * ell) / areas[i]
+    return values
 
 
-def test_second_fundamental_norm_matches_per_vertex_lstsq():
-    for mesh in (icosphere(3), critical_catenoid(16, 24), disk(1.0, 6, 24), strip_on_plane(4)):
-        want, want_unreliable = _second_fundamental_norm_lstsq(mesh)
-        got, unreliable = second_fundamental_norm(mesh)
-        assert unreliable == want_unreliable
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-    assert _second_fundamental_norm_lstsq(strip_on_plane(4))[1]  # corners: 2 neighbors
-
-
-def test_second_fundamental_norm_rank_test_matches_svd():
-    # vertex 0 has three neighbors; with y = 1e-11 their tangent-plane
-    # coordinates (1, 0), (0, y), (-1, 0) have smallest singular value below
-    # 1e-10, so the fit there is rank deficient
-    for y, deficient in ((1e-11, True), (1e-9, False)):
-        v = np.array([[0, 0, 0], [1, 0, 0], [0, y, 0], [-1, 0, 0]], float)
-        mesh = TriangleMesh(v, np.array([[0, 1, 2], [0, 2, 3]]))
-        _, want = _second_fundamental_norm_lstsq(mesh)
-        _, got = second_fundamental_norm(mesh)
-        assert got == want
-        assert (0 in got) == deficient
+@pytest.mark.parametrize("build, constraint", [
+    (lambda: icosphere(3), Sphere((0, 0, 0), 1.0)),
+    (lambda: critical_catenoid(16, 24), Sphere((0, 0, 0), 1.0)),
+    (lambda: _perturbed(disk(1.0, 6, 24), 4, 0.01), Sphere((0, 0, 0), 1.0)),
+    (lambda: strip_on_plane(4), Plane((0, 0, 0), (1, 0, 0))),
+    (lambda: half_catenoid(1.0, 6, 16), Plane((0, 0, 0), (0, 0, 1))),
+], ids=["icosphere", "critical-catenoid", "bumpy-disk", "strip", "half-catenoid"])
+def test_second_fundamental_norm_matches_per_vertex_loop(build, constraint):
+    mesh = build()
+    want = _second_fundamental_norm_loop(mesh, constraint)
+    got = second_fundamental_norm(mesh, constraint)
+    assert np.array_equal(np.isnan(got), mesh.topology.pinned)
+    ok = ~mesh.topology.pinned
+    assert np.abs(got[ok] - want[ok]).max() <= 1e-9 * np.abs(want[ok]).max()
 
 
 # -- operators that must stay bit-identical to the loops they replace --------
