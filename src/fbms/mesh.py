@@ -290,19 +290,23 @@ def cotangent_laplacian(mesh: TriangleMesh) -> sp.csr_matrix:
     return mesh._laplacian
 
 
-def _assemble_laplacian(mesh: TriangleMesh) -> sp.csr_matrix:
+def _assemble_laplacian(mesh: TriangleMesh, clip_negative=False) -> sp.csr_matrix:
     """The cotangent weights from the cached face frame, summed per edge.
 
     Column c of `face_edges` is the side s_c opposite corner c + 2, and the
     cotangent there is -(s_c . s_{c+1}) / |N|, with |N| twice the face area.
     Half of it, clamped, is the face's share of the edge weight w; off the
     diagonal L[u, v] = -w(u, v), and the diagonal makes each row sum to 0.
+    With clip_negative, a negative w (an edge whose two opposite angles sum
+    past pi) is set to 0 first, so the diagonal dominates each row.
     """
     sides, _, lengths = mesh._frame
     cot = -np.stack([_dot(sides[c], sides[(c + 1) % 3]) for c in range(3)], axis=1)
     half = 0.5 * np.clip(cot / np.maximum(lengths, 1e-300)[:, None], -COT_CLAMP, COT_CLAMP)
     topo = mesh.topology
     w = np.bincount(topo.face_edges.ravel(), half.ravel(), minlength=len(topo.edges))
+    if clip_negative:
+        w = np.maximum(w, 0.0)
     n = mesh.n_vertices
     diag = np.bincount(topo.edges.ravel(), np.repeat(w, 2), minlength=n)
     (u, v), i = topo.edges.T, np.arange(n)

@@ -52,13 +52,16 @@ def _parse(path, rows, numbers, faces):
         return np.empty((0, 3), dtype=dtype)
     if faces:
         rows = _AFTER_SLASH.sub("", "\n".join(rows)).split("\n")
-    try:
-        out = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2,
-                         usecols=None if faces else (0, 1, 2))
-        if out.shape == (len(rows), 3):  # loadtxt skips blank rows
-            return out
-    except ValueError:
-        pass
+    # np.loadtxt skips blank rows, and warns when nothing else is left:
+    # a blank body goes straight to the row-by-row reasons below
+    if all(row.strip() for row in rows):
+        try:
+            out = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2,
+                             usecols=None if faces else (0, 1, 2))
+            if out.shape == (len(rows), 3):
+                return out
+        except ValueError:
+            pass
     for row, number in zip(rows, numbers):
         tokens = row.split()
         if faces and len(tokens) != 3:

@@ -4,13 +4,24 @@ The admissible variation class: interior vertices move freely, constrained
 boundary vertices slide tangentially along N, remaining boundary vertices are
 pinned. solve_minimal is projected gradient descent in that class with Armijo
 backtracking; a step is followed by nearest-point re-projection of the
-constrained vertices. Each search starts at the two-point step of Barzilai &
+constrained vertices.
+
+The gradient is taken in the fixed Sobolev metric P = M0 + tau K0+ of the
+input mesh (Renka & Neuberger, SIAM J. Sci. Comput. 16, 1995), on the
+vertices that may move: M0 its lumped vertex areas, K0+ its cotangent
+Laplacian with negative weights clipped to 0, and tau its mean vertex area,
+which weighs the two terms equally at the mesh scale. An L2 step is bounded
+by the finest edge; this one is not, so the iteration count hardly grows
+under refinement. P is strictly diagonally dominant, so it is factored once
+per solve with diagonal pivots, and only once the first iteration is not
+already stationary. Each search starts at the two-point step of Barzilai &
 Borwein (IMA J. Numer. Anal. 8, 1988; Raydan, SIAM J. Optim. 7, 1997) in its
-BB2 form s.y / (y.M^-1 y), with s the last accepted move, y the change of the
-admissible gradient and M the lumped vertex areas, capped only by the
-displacement bound. Where s.y <= 0 the search starts at the step whose
-predicted decrease repeats the last accepted one (Nocedal & Wright, Numerical
-Optimization, section 3.5).
+BB2 form s.y / (y.P^-1 y) in the same metric, with s the last accepted move
+and y the change of the admissible gradient; P^-1 y is the difference of the
+last two solves, so an iteration makes one solve. The step is capped only by
+the displacement bound. Where s.y <= 0 the search starts at the step whose
+predicted decrease repeats the last accepted one (Nocedal & Wright,
+Numerical Optimization, section 3.5).
 """
 
 from __future__ import annotations
@@ -18,9 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .mesh import (
     TriangleMesh,
+    _assemble_laplacian,
     area_gradient_raw,
     _conormals,
     mean_curvature_vector,
@@ -40,6 +54,9 @@ class SolveParams:
     max_iterations: int = 5000
 
     def __post_init__(self):
+        # a bool is an int to Python, but no iteration count
+        if type(self.max_iterations) is not int:
+            raise TypeError("max_iterations must be an integer")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
 
@@ -56,6 +73,8 @@ class SolveReport:
     final_ortho_residual: float
     converged: bool
     termination: str
+    metric_scale: float  # tau of the metric P = M0 + tau K0+
+    metric_factor_nnz: int | None  # nonzeros of P's LU factors; None: never factored
 
     def summary_dict(self):
         return {
@@ -67,6 +86,10 @@ class SolveReport:
             "termination": self.termination,
             "trials": self.trials,
             "rejected_trials": self.rejected_trials,
+            "metric_scale": self.metric_scale,
+            "metric_factor_nnz": self.metric_factor_nnz,
+            "grad_history": self.grad_history,
+            "area_history": self.area_history,
         }
 
 
@@ -148,6 +171,38 @@ def _max_aspect_ratio(mesh: TriangleMesh):
     return float((longest / (2.0 * inradius)).max()), float(areas.sum()), float(e.min())
 
 
+class _Metric:
+    """The descent's metric P = M0 + tau K0+ on the vertices that may move
+    (`~Topology.pinned`), factored once.
+
+    Every row of P has a positive diagonal that exceeds the sum of its
+    off-diagonal magnitudes by its vertex area, and strict diagonal
+    dominance survives Gaussian elimination in any symmetric order: so the
+    factor takes diagonal pivots on a symmetric minimum-degree ordering, as
+    `stability.lowest_eigenpair` does. The Laplacian is assembled for this
+    alone and not cached on the mesh.
+    """
+
+    def __init__(self, mesh: TriangleMesh, tau: float):
+        areas = np.maximum(mesh.vertex_areas(), 1e-300)
+        pinned = mesh.topology.pinned
+        self.free = np.nonzero(~pinned)[0] if pinned.any() else None
+        P = tau * _assemble_laplacian(mesh, clip_negative=True) + sp.diags(areas)
+        if self.free is not None:
+            P = P[self.free][:, self.free]
+        P = P.tocsc()
+        self.lu = spla.splu(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
+
+    def solve(self, g):
+        """P^-1 g on the free rows of (n, 3) g, and 0 on the pinned rows."""
+        if self.free is None:
+            return self.lu.solve(g)
+        h = np.zeros_like(g)
+        h[self.free] = self.lu.solve(g[self.free])
+        return h
+
+
 def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None = None):
     """Constrained area minimization by projected gradient descent."""
     params = params or SolveParams()
@@ -155,6 +210,8 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
     if bad:
         raise ValueError("invalid initial mesh: " + "; ".join(bad))
     grad_tol = 1e-2 / initial.diameter()
+    tau = float(initial.vertex_areas().mean())
+    metric = None  # factored at the first iteration that is not stationary
 
     mesh = initial
     area = total_area(mesh)
@@ -163,7 +220,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
     area_history = [area]
     grad_history = []
     predicted = -np.inf  # t * slope of the last accepted step; -inf: start at the cap
-    s = g_last = None  # the last accepted move and the gradient it left
+    s = g_last = h_last = None  # the last accepted move, the gradient it left, P^-1 of that
     trials = rejected = 0
     termination = "max_iterations"
     converged = False
@@ -172,35 +229,42 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
     for it in range(1, params.max_iterations + 1):
         g = area_gradient(mesh, constraint)
         areas_v = np.maximum(mesh.vertex_areas(), 1e-300)
-        d = -g / areas_v[:, None]  # lumped L2 gradient direction
         # stationarity on the mean-curvature scale: |grad| over lumped area
-        gnorm = float(np.linalg.norm(d, axis=1).max())
-        slope = float(np.einsum("ij,ij->", g, d))
+        gnorm = float((np.linalg.norm(g, axis=1) / areas_v).max())
         grad_history.append(gnorm)
         # the residual is computed only once the gradient test has passed
         if gnorm <= grad_tol and (ortho := _residual_or_inf(mesh, constraint)) <= ORTHO_TOL:
             converged = True
             termination = "stationary"
             break
+        if metric is None:
+            metric = _Metric(initial, tau)
+        h = metric.solve(g)
+        # g is tangent to N at the sliding feet, so this projection keeps
+        # the slope at -g.P^-1 g
+        d = -h
+        idx, _, nrm = mesh.sliding_feet(constraint)
+        d[idx] -= np.einsum("ij,ij->i", d[idx], nrm)[:, None] * nrm
+        slope = float(np.einsum("ij,ij->", g, d))
         if slope >= 0:
             termination = "zero descent direction"
             break
 
         # step cap: no vertex moves more than a fraction of the shortest edge
-        t_cap = MAX_DISPLACEMENT_FRAC * min_edge / max(gnorm, 1e-300)
+        dmax = float(np.sqrt(np.vecdot(d, d).max()))
+        t_cap = MAX_DISPLACEMENT_FRAC * min_edge / max(dmax, 1e-300)
 
         # Armijo backtracking with halving. The first trial is the BB2 step
-        # in the lumped-mass metric; where s.y <= 0 it predicts the same
-        # decrease t * slope as the last accepted step (Nocedal & Wright,
-        # eq. 3.60). The constraint projection is part of the trial step, so
-        # sufficient decrease is tested on the actual next iterate.
+        # in the metric P; where s.y <= 0 it predicts the same decrease
+        # t * slope as the last accepted step (Nocedal & Wright, eq. 3.60).
+        # The constraint projection is part of the trial step, so sufficient
+        # decrease is tested on the actual next iterate.
         t = predicted / slope
         if s is not None:
             y = g - g_last
             sy = s @ y.ravel()
             if sy > 0:
-                yy = (y / areas_v[:, None]).ravel() @ y.ravel()
-                t = sy / yy
+                t = sy / float(np.einsum("ij,ij->", y, h - h_last))
         t = min(t, t_cap)
         accepted = False
         for _ in range(30):
@@ -219,7 +283,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
             termination = "line search failed 30 halvings"
             break
         predicted = t * slope
-        s, g_last = (vcand - mesh.vertices).ravel(), g
+        s, g_last, h_last = (vcand - mesh.vertices).ravel(), g, h
         mesh, area, min_edge = cand, cand_area, cand_min_edge
         area_history.append(area)
 
@@ -239,6 +303,8 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         final_ortho_residual=ortho,
         converged=converged,
         termination=termination,
+        metric_scale=tau,
+        metric_factor_nnz=None if metric is None else int(metric.lu.nnz),
     )
 
 

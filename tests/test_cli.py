@@ -402,6 +402,9 @@ BAD_CONFIGS = {
     "solver-key": dict(_STRIP, solver={"max_iterations": 10, "max_iters": 5}),
     # max_iterations is the one solver setting; the descent's others are fixed
     "solver-removed-key": dict(_STRIP, solver={"step_init": 1}),
+    # an iteration count is an int, and a bool is not one
+    "solver-iterations-fraction": dict(_STRIP, solver={"max_iterations": 2.5}),
+    "solver-iterations-bool": dict(_STRIP, solver={"max_iterations": True}),
     "constraint-type": dict(_STRIP, constraint={"type": "cone", "apex": [0, 0, 0]}),
     "constraint-key": dict(_STRIP, constraint={"type": "sphere", "radius": 1.0}),
     "monotonicity-base": dict(_DISK, analysis={

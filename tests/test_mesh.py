@@ -267,6 +267,20 @@ def test_read_obj_error_names_file_line(tmp_path, record, reason):
     assert str(info.value) == f"mesh.obj:12: {reason}"
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("v\nf 1 2 3\n", "mesh.obj:1: a vertex needs 3 coordinates"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf\n", "mesh.obj:4: only triangle faces are supported"),
+], ids=["blank-vertex", "blank-face"])
+def test_read_obj_names_a_blank_only_record(tmp_path, text, reason):
+    # the one record of its type is blank: no row for np.loadtxt to read,
+    # and no warning from it under the suite's warnings-as-errors
+    path = tmp_path / "mesh.obj"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_obj(path)
+    assert str(info.value) == reason
+
+
 @pytest.mark.parametrize("sidecar, reason", [
     ('{"constrained": [-1]}', "-1 is not a vertex index in [0, 13)"),
     ("{}", 'expected {"constrained": [vertex indices]}'),

@@ -5,7 +5,7 @@ import pytest
 
 import fbms.variation
 from fbms.constraints import Plane, Sphere
-from fbms.mesh import TriangleMesh, area_gradient_raw, total_area
+from fbms.mesh import TriangleMesh, area_gradient_raw, cotangent_laplacian, total_area
 from fbms.samplers import (
     catenoid,
     critical_catenoid,
@@ -83,6 +83,7 @@ def test_flat_strip_is_already_stationary():
     assert report.converged
     assert report.termination == "stationary"
     assert report.iterations == 1
+    assert report.metric_factor_nnz is None  # the metric is never factored
     assert np.allclose(report.final_mesh.vertices, m.vertices)
 
 
@@ -140,6 +141,36 @@ def test_stationary_exit_reuses_last_gradient_and_residual(monkeypatch):
     assert report.final_ortho_residual == fbms.variation._residual_or_inf(final, N)
 
 
+def _obtuse_strip():
+    """strip_on_plane(10) with its vertices moved inside their cells: interior
+    ones in x, y and z, the sliding edge's along y, so that some pairs of
+    angles opposite an edge sum past pi."""
+    base = strip_on_plane(10)
+    rng = np.random.default_rng(5)
+    v = base.vertices.copy()
+    interior = ~base.is_boundary_vertex()
+    v[interior] += rng.uniform(-0.04, 0.04, (interior.sum(), 3))
+    sliding = base.topology.sliding
+    v[sliding, 1] += rng.uniform(-0.03, 0.03, sliding.sum())
+    return TriangleMesh(v, base.faces, base.constrained)
+
+
+def test_metric_descends_where_cotangent_weights_are_negative():
+    m = _obtuse_strip()
+    N = Plane((0, 0, 0), (1, 0, 0))
+    report = solve_minimal(m, N, SolveParams(max_iterations=1))
+    assert report.termination == "max_iterations"
+    assert report.area_history[1] < report.area_history[0]
+    assert report.metric_factor_nnz > 0
+    assert "_laplacian" not in vars(m)  # the metric's Laplacian is not kept
+    L = cotangent_laplacian(m).tocoo()
+    assert (L.data[L.row != L.col] > 0).any()  # negative cotangent weights
+    g = area_gradient(m, N)
+    h = fbms.variation._Metric(m, float(m.vertex_areas().mean())).solve(g)
+    assert np.all(h[m.topology.pinned] == 0.0)
+    assert np.einsum("ij,ij->", g, h) > 0  # d = -h is a descent direction
+
+
 def test_solver_rejects_invalid_mesh():
     m = grid_patch(3, 3)
     faces = m.faces.copy()
@@ -152,6 +183,9 @@ def test_solver_rejects_invalid_mesh():
 def test_solve_params_validation():
     with pytest.raises(ValueError):
         SolveParams(max_iterations=0)
+    for count in (2.5, 3.0, True):  # a bool is an int to Python
+        with pytest.raises(TypeError):
+            SolveParams(max_iterations=count)
 
 
 def test_verify_minimal_accepts_critical_catenoid():
