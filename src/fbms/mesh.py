@@ -38,6 +38,8 @@ class Topology:
                         meets an unconstrained (pinned) boundary arc
       pinned            (n,) boundary vertex held fixed: unconstrained, or a corner
       sliding           (n,) constrained vertex that slides on N: not a corner
+      corners           (3m,) vertex at corner 0 of every face, then corner 1,
+                        then corner 2
     """
 
     def __init__(self, faces, constrained):
@@ -63,6 +65,7 @@ class Topology:
         self.corner[self.boundary_edges[mixed][ends[mixed]]] = True
         self.pinned = (self.boundary_mask & ~constrained) | self.corner
         self.sliding = constrained & ~self.corner
+        self.corners = faces.T.ravel()
         _read_only(*vars(self).values())
 
 
@@ -130,15 +133,18 @@ class TriangleMesh:
 
     @cached_property
     def _frame(self):
-        """Per face, as (3, m) component arrays from one gather of the vertex
-        coordinates: the sides opposite corners 0, 1, 2 (x2 - x1, x0 - x2,
-        x1 - x0), the raw normal (x1 - x0) x (x2 - x0), and its length, twice
-        the face area."""
+        """Per face, from one gather of the vertex coordinates: the sides
+        opposite corners 0, 1, 2 (x2 - x1, x0 - x2, x1 - x0) as one (3, 3, m)
+        array indexed [component, side, face], the raw normal
+        (x1 - x0) x (x2 - x0) = s1 x s2 as (3, m) components, and its length,
+        twice the face area."""
         x = np.take(np.ascontiguousarray(self.vertices.T), self.faces.T, axis=1)
-        sides = (x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0])
-        normals = _cross(sides[2], x[:, 2] - x[:, 0])
+        sides = np.empty_like(x)
+        for c in range(3):
+            np.subtract(x[:, (c + 2) % 3], x[:, (c + 1) % 3], out=sides[:, c])
+        normals = _cross(sides[:, 1], sides[:, 2])
         lengths = _norm(normals)
-        _read_only(*sides, normals, lengths)
+        _read_only(sides, normals, lengths)
         return sides, normals, lengths
 
     @cached_property
@@ -170,8 +176,7 @@ class TriangleMesh:
 
     def edge_lengths(self):
         """(3, m) lengths of the sides (x0, x1), (x1, x2), (x2, x0) of each face."""
-        s0, s1, s2 = self._frame[0]
-        return np.stack([_norm(s2), _norm(s0), _norm(s1)])
+        return _norm(self._frame[0])[[2, 0, 1]]
 
     def vertex_areas(self):
         """One-third barycentric lumped vertex areas; built once per mesh and
@@ -200,7 +205,7 @@ def _scatter_corners(mesh, values):
     """Sums values given per face corner (corner 0 of every face, then corner
     1, then corner 2) into their vertices, in that order, as three np.add.at
     calls would. `values` is (3m,), or (k, 3m) for k components."""
-    idx = mesh.faces.T.ravel()
+    idx = mesh.topology.corners
     if values.ndim == 1:
         return np.bincount(idx, values, minlength=mesh.n_vertices)
     return np.stack([np.bincount(idx, v, minlength=mesh.n_vertices) for v in values], axis=1)
@@ -214,19 +219,21 @@ def _read_only(*arrays):
 
 
 def _cross(a, b):
-    """a x b for (3, m) component arrays, rounded exactly as np.cross."""
-    return np.stack([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    """a x b for (3, ...) component arrays, rounded exactly as np.cross."""
+    c = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    np.subtract(a[1] * b[2], a[2] * b[1], out=c[0])
+    np.subtract(a[2] * b[0], a[0] * b[2], out=c[1])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=c[2])
+    return c
 
 
 def _dot(a, b):
-    """Dot products of (3, m) component arrays, one per column."""
+    """Dot products of (3, ...) component arrays, one per column."""
     return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
 def _norm(a):
-    """Lengths of (3, m) component arrays, summed in the order of
+    """Lengths of (3, ...) component arrays, summed in the order of
     np.linalg.norm(axis=1) on the (m, 3) layout."""
     return np.sqrt(_dot(a, a))
 
@@ -301,7 +308,7 @@ def _assemble_laplacian(mesh: TriangleMesh, clip_negative=False) -> sp.csr_matri
     past pi) is set to 0 first, so the diagonal dominates each row.
     """
     sides, _, lengths = mesh._frame
-    cot = -np.stack([_dot(sides[c], sides[(c + 1) % 3]) for c in range(3)], axis=1)
+    cot = -np.stack([_dot(sides[:, c], sides[:, (c + 1) % 3]) for c in range(3)], axis=1)
     half = 0.5 * np.clip(cot / np.maximum(lengths, 1e-300)[:, None], -COT_CLAMP, COT_CLAMP)
     topo = mesh.topology
     w = np.bincount(topo.face_edges.ravel(), half.ravel(), minlength=len(topo.edges))
@@ -334,8 +341,9 @@ def area_gradient_raw(mesh: TriangleMesh) -> np.ndarray:
     """Exact gradient of total discrete area with respect to vertex positions."""
     sides = mesh._frame[0]
     nhat = mesh.face_normals()
-    # d(face area)/d(x_k) = 0.5 * nhat x (side opposite corner k)
-    return _scatter_corners(mesh, np.concatenate([0.5 * _cross(nhat, s) for s in sides], axis=1))
+    # d(face area)/d(x_k) = 0.5 * nhat x (side opposite corner k), all three
+    # sides at once: (3, 3, m) reshaped to corner-major (3, 3m)
+    return _scatter_corners(mesh, (0.5 * _cross(nhat[:, None], sides)).reshape(3, -1))
 
 
 def second_fundamental_norm(mesh: TriangleMesh, constraint) -> np.ndarray:
@@ -351,7 +359,7 @@ def second_fundamental_norm(mesh: TriangleMesh, constraint) -> np.ndarray:
     """
     sides, _, lengths = mesh._frame
     # the angle at corner c lies between the sides s_{c+1} and s_{c+2}
-    angles = [np.arctan2(lengths, -_dot(sides[(c + 1) % 3], sides[(c + 2) % 3]))
+    angles = [np.arctan2(lengths, -_dot(sides[:, (c + 1) % 3], sides[:, (c + 2) % 3]))
               for c in range(3)]
     topo = mesh.topology
     defect = np.where(topo.boundary_mask, np.pi, 2.0 * np.pi)

@@ -171,9 +171,11 @@ def _max_aspect_ratio(mesh: TriangleMesh):
     return float((longest / (2.0 * inradius)).max()), float(areas.sum()), float(e.min())
 
 
-class _Metric:
-    """The descent's metric P = M0 + tau K0+ on the vertices that may move
-    (`~Topology.pinned`), factored once.
+def _metric_factor(mesh: TriangleMesh, tau: float):
+    """LU factor of the descent's metric P = M0 + tau K0+ on the vertices
+    that may move, with identity rows and columns on the pinned ones
+    (`Topology.pinned`): the admissible gradient is 0 there, and so is its
+    solve.
 
     Every row of P has a positive diagonal that exceeds the sum of its
     off-diagonal magnitudes by its vertex area, and strict diagonal
@@ -182,25 +184,12 @@ class _Metric:
     `stability.lowest_eigenpair` does. The Laplacian is assembled for this
     alone and not cached on the mesh.
     """
-
-    def __init__(self, mesh: TriangleMesh, tau: float):
-        areas = np.maximum(mesh.vertex_areas(), 1e-300)
-        pinned = mesh.topology.pinned
-        self.free = np.nonzero(~pinned)[0] if pinned.any() else None
-        P = tau * _assemble_laplacian(mesh, clip_negative=True) + sp.diags(areas)
-        if self.free is not None:
-            P = P[self.free][:, self.free]
-        P = P.tocsc()
-        self.lu = spla.splu(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                            options={"SymmetricMode": True})
-
-    def solve(self, g):
-        """P^-1 g on the free rows of (n, 3) g, and 0 on the pinned rows."""
-        if self.free is None:
-            return self.lu.solve(g)
-        h = np.zeros_like(g)
-        h[self.free] = self.lu.solve(g[self.free])
-        return h
+    areas = np.maximum(mesh.vertex_areas(), 1e-300)
+    free = sp.diags((~mesh.topology.pinned).astype(float))
+    P = tau * _assemble_laplacian(mesh, clip_negative=True) + sp.diags(areas)
+    P = free @ P @ free + sp.diags(mesh.topology.pinned.astype(float))
+    return spla.splu(P.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
 
 
 def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None = None):
@@ -238,7 +227,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
             termination = "stationary"
             break
         if metric is None:
-            metric = _Metric(initial, tau)
+            metric = _metric_factor(initial, tau)
         h = metric.solve(g)
         # g is tangent to N at the sliding feet, so this projection keeps
         # the slope at -g.P^-1 g
@@ -304,7 +293,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         converged=converged,
         termination=termination,
         metric_scale=tau,
-        metric_factor_nnz=None if metric is None else int(metric.lu.nnz),
+        metric_factor_nnz=None if metric is None else int(metric.nnz),
     )
 
 

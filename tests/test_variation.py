@@ -166,7 +166,7 @@ def test_metric_descends_where_cotangent_weights_are_negative():
     L = cotangent_laplacian(m).tocoo()
     assert (L.data[L.row != L.col] > 0).any()  # negative cotangent weights
     g = area_gradient(m, N)
-    h = fbms.variation._Metric(m, float(m.vertex_areas().mean())).solve(g)
+    h = fbms.variation._metric_factor(m, float(m.vertex_areas().mean())).solve(g)
     assert np.all(h[m.topology.pinned] == 0.0)
     assert np.einsum("ij,ij->", g, h) > 0  # d = -h is a descent direction
 
