@@ -187,8 +187,8 @@ def _metric_factor(mesh: TriangleMesh, tau: float):
     areas = np.maximum(mesh.vertex_areas(), 1e-300)
     free = sp.diags((~mesh.topology.pinned).astype(float))
     P = tau * _assemble_laplacian(mesh, clip_negative=True) + sp.diags(areas)
-    P = free @ P @ free + sp.diags(mesh.topology.pinned.astype(float))
-    return spla.splu(P.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    P = (free @ P @ free + sp.diags(mesh.topology.pinned.astype(float))).tocsc()
+    return spla.splu(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 
 
