@@ -8,6 +8,8 @@ nearest-point projection, the Fermi charts and the monotonicity radii.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
@@ -209,14 +211,21 @@ def estimate_kappa(constraint, center, radius, sample_count=10000, seed=0):
 # Each constructor rejects a degenerate surface with ValueError.
 
 
+def _is_number(x):
+    """Whether x is a real number; float() also reads a string or a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _vector(name, value):
     v = np.asarray(value, dtype=float)
-    if v.shape != (3,) or not np.isfinite(v).all():
+    if v.shape != (3,) or not np.isfinite(v).all() or not all(map(_is_number, value)):
         raise ValueError(f"{name} must be a finite 3-vector")
     return v
 
 
 def _length(name, value):
+    if not _is_number(value):
+        raise TypeError(f"{name} must be a number")
     x = float(value)
     if not 0.0 < x < np.inf:
         raise ValueError(f"{name} must be positive and finite")
@@ -367,55 +376,8 @@ class Torus(LevelSetConstraint):
                            super()._project_rows, x)
 
 
-class Graph(LevelSetConstraint):
-    """N = {z = h(x, y)} for a quadratic height function h."""
-
-    TERMS = ("c0", "cx", "cy", "cxx", "cxy", "cyy")
-
-    def __init__(self, coefficients):
-        # h = c0 + cx x + cy y + cxx x^2 + cxy x y + cyy y^2
-        c = dict(coefficients)
-        unknown = set(c) - set(self.TERMS)
-        if unknown:
-            raise ValueError(f"unknown graph coefficients {sorted(unknown)}")
-        self.c = {k: float(c.get(k, 0.0)) for k in self.TERMS}
-        if not np.isfinite(list(self.c.values())).all():
-            raise ValueError("graph coefficients must be finite")
-
-    def phi(self, q):
-        q = np.asarray(q, dtype=float)
-        c, x, y = self.c, q[..., 0], q[..., 1]
-        return q[..., 2] - (c["c0"] + c["cx"] * x + c["cy"] * y + c["cxx"] * x**2
-                            + c["cxy"] * x * y + c["cyy"] * y**2)
-
-    def grad(self, q):
-        q = np.asarray(q, dtype=float)
-        c = self.c
-        g = np.empty_like(q)
-        g[..., 0] = -(c["cx"] + 2 * c["cxx"] * q[..., 0] + c["cxy"] * q[..., 1])
-        g[..., 1] = -(c["cy"] + 2 * c["cyy"] * q[..., 1] + c["cxy"] * q[..., 0])
-        g[..., 2] = 1.0
-        return g
-
-    def hess(self, q):
-        q = np.asarray(q, dtype=float)
-        c = self.c
-        H = np.zeros(q.shape[:-1] + (3, 3))
-        H[..., 0, 0] = -2 * c["cxx"]
-        H[..., 1, 1] = -2 * c["cyy"]
-        H[..., 0, 1] = H[..., 1, 0] = -c["cxy"]
-        return H
-
-    def reach(self):
-        # no principal curvature exceeds the spectral norm of Hess h, and
-        # the largest one reaches it where grad h = 0
-        c = self.c
-        curv = np.linalg.norm([[2 * c["cxx"], c["cxy"]], [c["cxy"], 2 * c["cyy"]]], 2)
-        return np.inf if curv == 0 else float(1.0 / curv)
-
-
 _PRIMITIVES = {"plane": Plane, "sphere": Sphere, "ellipsoid": Ellipsoid,
-               "torus": Torus, "graph": Graph}
+               "torus": Torus}
 
 
 def constraint_from_spec(spec: dict) -> LevelSetConstraint:

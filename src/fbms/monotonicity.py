@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from .constraints import _is_number
 from .mesh import TriangleMesh
 from .variation import verify_minimal
 
@@ -43,13 +44,6 @@ def _in_space(x):
     if x.shape[-1] == 2:
         x = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
     return x
-
-
-@dataclass
-class BallMass:
-    radius: float
-    mass: float
-    clipped_triangle_count: int
 
 
 @dataclass
@@ -106,23 +100,22 @@ class _SortedFaces:
         return [x[:k] for x in geometry.faces]
 
 
-def mass_in_ball(geometry, p, r) -> BallMass:
+def mass_in_ball(geometry, p, r) -> float:
     """Area (mesh, k=2) or length (polyline, k=1) inside the ball B(p, r).
 
     Both are clipped exactly: each triangle by the disk its plane cuts from
-    the ball, each segment by the ball. The count is of the triangles or
-    segments the sphere cuts.
+    the ball, each segment by the ball.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
     p = _in_space(p)
     if isinstance(geometry, Polyline):
         v = geometry.vertices
-        mass, crossing = _kernels.mass_in_ball_segments(v[:-1], v[1:], p, float(r))
+        mass, _ = _kernels.mass_in_ball_segments(v[:-1], v[1:], p, float(r))
     else:
         a, b, c, _ = _SortedFaces.within(geometry, p, r)
-        mass, crossing = _kernels.mass_in_ball_tris(a, b, c, p, float(r))
-    return BallMass(radius=float(r), mass=float(mass), clipped_triangle_count=int(crossing))
+        mass, _ = _kernels.mass_in_ball_tris(a, b, c, p, float(r))
+    return float(mass)
 
 
 def deficit_integral(geometry, p, sigma, rho, Lambda1, gamma) -> float:
@@ -142,14 +135,21 @@ def deficit_integral(geometry, p, sigma, rho, Lambda1, gamma) -> float:
                                            float(Lambda1), float(gamma)))
 
 
-def as_radii(radii):
-    """radii as floats: at least 2, finite, positive and strictly increasing."""
+def profile_arguments(constraint, p, radii):
+    """density_profile's base point, as a point of space, and its radii, as
+    floats. ValueError unless p is on N and the radii are at least 2 finite
+    positive numbers (a string or a bool is none), strictly increasing and
+    below R0/2 for the reach R0 of N."""
+    p = _in_space(p)
+    constraint.check_on(p)
     r = np.asarray(radii, dtype=float)
     if (r.ndim != 1 or len(r) < 2 or not np.isfinite(r).all() or r[0] <= 0.0
-            or (np.diff(r) <= 0.0).any()):
+            or (np.diff(r) <= 0.0).any() or not all(map(_is_number, radii))):
         raise ValueError("radii must be at least 2 finite positive numbers, "
                          "strictly increasing")
-    return r.tolist()
+    if r[-1] >= constraint.reach() / 2.0:
+        raise ValueError("radius exceeds R0/2")
+    return p, r.tolist()
 
 
 def default_radius_grid(r_max, levels=6):
@@ -163,12 +163,8 @@ def density_profile(geometry, constraint, p, radii, check=None) -> DensityProfil
     A triangle mesh is verified as minimal, unless check, verify_minimal's
     result for this mesh and constraint, is given.
     """
-    p = _in_space(p)
-    constraint.check_on(p)
-    R0 = constraint.reach()
-    if max(radii) >= R0 / 2.0:
-        raise ValueError("radius exceeds R0/2")
-    gamma = 2.0 / R0
+    p, radii = profile_arguments(constraint, p, radii)
+    gamma = 2.0 / constraint.reach()
     verified = True
     if isinstance(geometry, TriangleMesh):
         if check is None:
@@ -177,8 +173,7 @@ def density_profile(geometry, constraint, p, radii, check=None) -> DensityProfil
         geometry = _SortedFaces(geometry, p)
     k = 1 if isinstance(geometry, Polyline) else 2
     Lambda1 = k * (3.0 * gamma)
-    radii = as_radii(radii)
-    masses = [mass_in_ball(geometry, p, r).mass for r in radii]
+    masses = [mass_in_ball(geometry, p, r) for r in radii]
     theta = [np.exp(Lambda1 * r) * m / r**k for r, m in zip(radii, masses)]
     deficits = [deficit_integral(geometry, p, a, b, Lambda1, gamma)
                 for a, b in zip(radii, radii[1:])]

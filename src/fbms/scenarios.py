@@ -27,10 +27,10 @@ from .fermi import GridSpec, build_chart, graph_extract, neumann_residual
 from .mesh import mean_curvature_vector, validate_mesh, vertex_normals
 from .monotonicity import (
     Polyline,
-    as_radii,
     check_monotonicity,
     default_radius_grid,
     density_profile,
+    profile_arguments,
 )
 from .obj_io import read_obj, write_obj
 from .samplers import (
@@ -43,7 +43,7 @@ from .samplers import (
     strip_on_plane,
 )
 from .stability import is_stable
-from .variation import SolveParams, solve_minimal, verify_minimal
+from .variation import TERMINATIONS, SolveParams, solve_minimal, verify_minimal
 
 SCHEMA_VERSION = 1
 
@@ -264,8 +264,9 @@ def _validate_expect(expect, stages):
         raise ScenarioError("expect.solve needs a solve stage")
     solve = expect["solve"]
     if (not isinstance(solve, dict) or set(solve) != {"termination"}
-            or not isinstance(solve["termination"], str)):
-        raise ScenarioError('expect.solve must be {"termination": <string>}')
+            or solve["termination"] not in TERMINATIONS):
+        raise ScenarioError('expect.solve must be {"termination": <string>}, the '
+                            f'string one of {list(TERMINATIONS)}')
 
 
 def is_path_component(name) -> bool:
@@ -522,8 +523,7 @@ def _base_point(value, polyline=False):
 
 
 def _check_monotonicity(block, constraint, polyline):
-    _base_point(block["base_point"], polyline)
-    as_radii(block["radii"])
+    profile_arguments(constraint, _base_point(block["base_point"], polyline), block["radii"])
 
 
 def _check_fermi(block, constraint, polyline):

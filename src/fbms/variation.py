@@ -47,6 +47,10 @@ ARMIJO_C = 1e-4
 ORTHO_TOL = 2e-2  # radians; the residual is resolution limited
 MAX_DISPLACEMENT_FRAC = 0.2  # of the shortest edge, per step
 H_TOL = 5e-2  # verify_minimal's bound on the interior mean curvature
+# the ways solve_minimal ends, as its report's `termination` names them
+STATIONARY, MAX_ITERATIONS, NO_DESCENT, LINE_SEARCH_FAILED = TERMINATIONS = (
+    "stationary", "max_iterations", "zero descent direction",
+    "line search failed 30 halvings")
 
 
 @dataclass
@@ -211,7 +215,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
     predicted = -np.inf  # t * slope of the last accepted step; -inf: start at the cap
     s = g_last = h_last = None  # the last accepted move, the gradient it left, P^-1 of that
     trials = rejected = 0
-    termination = "max_iterations"
+    termination = MAX_ITERATIONS
     converged = False
     it = 0
 
@@ -224,7 +228,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         # the residual is computed only once the gradient test has passed
         if gnorm <= grad_tol and (ortho := _residual_or_inf(mesh, constraint)) <= ORTHO_TOL:
             converged = True
-            termination = "stationary"
+            termination = STATIONARY
             break
         if metric is None:
             metric = _metric_factor(initial, tau)
@@ -236,7 +240,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         d[idx] -= np.einsum("ij,ij->i", d[idx], nrm)[:, None] * nrm
         slope = float(np.einsum("ij,ij->", g, d))
         if slope >= 0:
-            termination = "zero descent direction"
+            termination = NO_DESCENT
             break
 
         # step cap: no vertex moves more than a fraction of the shortest edge
@@ -269,7 +273,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
             rejected += 1
             t *= 0.5
         if not accepted:
-            termination = "line search failed 30 halvings"
+            termination = LINE_SEARCH_FAILED
             break
         predicted = t * slope
         s, g_last, h_last = (vcand - mesh.vertices).ravel(), g, h

@@ -1,16 +1,10 @@
-"""Rescaling covariance, doubling, and the curvature survey."""
+"""Rescaling covariance and doubling."""
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from fbms.blowup import (
-    RescaleMap,
-    SurveyRow,
-    curvature_survey,
-    reflect_double,
-    rescale,
-)
+from fbms.blowup import reflect_double, rescale
 from fbms.constraints import Plane, Sphere, Torus
 from fbms.mesh import total_area
 from fbms.samplers import critical_catenoid, grid_patch, strip_on_plane
@@ -18,17 +12,19 @@ from fbms.variation import free_boundary_residual
 
 
 def test_rescale_map_validation_and_apply():
-    with pytest.raises(ValueError):
-        RescaleMap(np.zeros(3), 0.0)
-    m = RescaleMap(np.array([1.0, 0.0, 0.0]), 2.0)
-    assert np.allclose(m.apply(np.array([2.0, 1.0, 0.0])), [2.0, 2.0, 0.0])
+    mesh = strip_on_plane(4)
+    pl = Plane((0, 0, 0), (1, 0, 0))
+    for factor in (0.0, -1.0):
+        with pytest.raises(ValueError, match="factor must be positive"):
+            rescale(mesh, pl, np.zeros(3), factor)
+    out, _ = rescale(mesh, pl, np.array([1.0, 0.0, 0.0]), 2.0)
+    assert np.allclose(out.vertices, 2.0 * (mesh.vertices - [1.0, 0.0, 0.0]))
 
 
 def test_rescale_covariance_area_and_constraint():
     mesh = critical_catenoid(24, 24)
     ball = Sphere((0, 0, 0), 1.0)
-    mapping = RescaleMap(np.zeros(3), 3.0)
-    out, new_ball = rescale(mesh, ball, mapping)
+    out, new_ball = rescale(mesh, ball, np.zeros(3), 3.0)
     assert np.isclose(total_area(out), 9.0 * total_area(mesh))
     assert new_ball.radius == 3.0
     assert np.allclose(new_ball.center, 0.0)
@@ -41,14 +37,14 @@ def test_rescale_covariance_area_and_constraint():
 def test_rescale_plane_and_unsupported_primitive():
     mesh = strip_on_plane(4)
     pl = Plane((0, 0, 0), (1, 0, 0))
-    mapping = RescaleMap(np.array([0.0, 0.5, 0.0]), 2.0)
-    out, new_pl = rescale(mesh, pl, mapping)
+    center = np.array([0.0, 0.5, 0.0])
+    out, new_pl = rescale(mesh, pl, center, 2.0)
     assert np.allclose(new_pl.normal, [1.0, 0.0, 0.0])
-    assert np.allclose(new_pl.point, mapping.apply(pl.point))
+    assert np.allclose(new_pl.point, 2.0 * (pl.point - center))
     idx = np.nonzero(out.constrained)[0]
     assert np.abs(new_pl.phi(out.vertices[idx])).max() < 1e-12
     with pytest.raises(ValueError, match="unsupported"):
-        rescale(mesh, Torus((0, 0, 0), 2.0, 0.5), mapping)
+        rescale(mesh, Torus((0, 0, 0), 2.0, 0.5), center, 2.0)
 
 
 def test_reflect_double_strip_doubles_area_and_welds_seam():
@@ -85,41 +81,3 @@ def test_reflect_double_rejects_tilted_approach():
     with pytest.raises(ValueError, match="residual too large to weld"):
         reflect_double(tilted, (np.zeros(3), np.array([1.0, 0.0, 0.0])))
 
-
-def _survey_rows():
-    flat = grid_patch(4, 4)
-    bumpy = grid_patch(4, 4)
-    curv_flat = np.zeros(flat.n_vertices)
-    curv_bumpy = np.full(bumpy.n_vertices, 2.0)
-    return [
-        {"name": "flat", "mesh": flat, "curvature": curv_flat,
-         "stable": True, "lambda_min": 0.5},
-        {"name": "bumpy", "mesh": bumpy, "curvature": curv_bumpy,
-         "stable": True, "lambda_min": 0.1},
-        {"name": "saddle", "mesh": bumpy, "curvature": curv_bumpy,
-         "stable": False, "lambda_min": -1.0},
-    ]
-
-
-def test_curvature_survey_filters_unstable_rows():
-    rows, summary = curvature_survey(
-        _survey_rows(), (np.array([0.5, 0.5, 0.0]), 1.0)
-    )
-    assert [r.scenario for r in rows] == ["flat", "bumpy", "saddle"]
-    assert summary["included"] == ["flat", "bumpy"]
-    assert summary["excluded"] == ["saddle"]
-    # sup over included rows: the bumpy sheet through the ball center
-    assert np.isclose(summary["empirical_C1"], 2.0 * 1.0)
-
-
-def test_curvature_survey_area_bound_excludes():
-    rows, summary = curvature_survey(
-        _survey_rows(), (np.array([0.5, 0.5, 0.0]), 1.0), area_bound=1e-6
-    )
-    assert summary["included"] == []
-    assert summary["empirical_C1"] == 0.0
-
-
-def test_survey_row_rejects_negative_sup_norm():
-    with pytest.raises(ValueError):
-        SurveyRow("x", 1.0, True, 0.0, -0.1)

@@ -301,12 +301,14 @@ def test_planar_polyline_config_matches_its_copy_in_space(tmp_path):
 
 
 def test_run_scenario_surfaces_stage_failure(tmp_path):
-    cfg = json.loads(json.dumps(builtin_scenarios()["radial-segment-k1"]))
-    cfg["analysis"]["monotonicity"]["radii"] = [0.1, 0.6]  # beyond R0/2
+    # a doubling plane that misses the seam is a valid plane, so only the
+    # stage finds the fault
+    cfg = json.loads(json.dumps(builtin_scenarios()["half-catenoid-double"]))
+    cfg["analysis"]["doubling"]["plane_point"] = [0, 0, 0.5]
     man = run_scenario(cfg, tmp_path / "bad")
     assert not man.all_passed()
-    assert man.failure["stage"] == "monotonicity"
-    assert "R0/2" in man.failure["error"]
+    assert man.failure["stage"] == "doubling"
+    assert "boundary not on plane" in man.failure["error"]
     failure = json.loads((tmp_path / "bad" / "failure.json").read_text())
     assert failure == man.failure
 
@@ -384,6 +386,7 @@ _DISK = builtin_scenarios()["disk-in-ball"]
 _STRIP = builtin_scenarios()["strip-on-plane"]
 _STRIP_RUNS = {"solve": True, "verify": True, "stability": True, "doubling": True}
 _SEGMENT = builtin_scenarios()["radial-segment-k1"]
+_GRAPH = builtin_scenarios()["graph-over-disk"]
 
 
 def _disk_with(constraint=None, **analysis):
@@ -428,6 +431,9 @@ BAD_CONFIGS = {
         "stage_pass": _STRIP_RUNS, "solve": {"converged": True}}),
     "expect-solve-type": dict(_STRIP, expect={
         "stage_pass": _STRIP_RUNS, "solve": {"termination": False}}),
+    # a termination the solver never reports
+    "expect-solve-termination-typo": dict(_GRAPH, expect=dict(
+        _GRAPH["expect"], solve={"termination": "max_iteration"})),
     "expect-solve-no-solver": dict(_STRIP, solver=None, expect={
         "stage_pass": _without(_STRIP_RUNS, "solve"),
         "solve": {"termination": "stationary"}}),
@@ -471,8 +477,17 @@ BAD_CONFIGS = {
                                            "major_radius": 0.5, "minor_radius": 0.7}),
     "torus-zero-tube": _disk_with({"type": "torus", "center": [0, 0, 0],
                                    "major_radius": 2.0, "minor_radius": 0.0}),
-    "graph-unknown-coefficient": _disk_with({"type": "graph",
-                                             "coefficients": {"cxx": 0.2, "cx2": 1.0}}),
+    # the quadratic graph container was removed: its type is unknown
+    "constraint-type-graph": _disk_with({"type": "graph",
+                                         "coefficients": {"cxx": 0.2, "cx2": 1.0}}),
+    # a constraint's numbers are JSON numbers, not strings or bools
+    "sphere-radius-bool": _disk_with(dict(_DISK["constraint"], radius=True)),
+    "sphere-radius-string": _disk_with(dict(_DISK["constraint"], radius="1")),
+    "sphere-center-bool": _disk_with(dict(_DISK["constraint"], center=[False, 0, 0])),
+    "plane-normal-strings": dict(_STRIP, constraint=dict(_STRIP["constraint"],
+                                                         normal=["1", "0", "0"])),
+    "doubling-plane-point-strings": dict(_STRIP, analysis=dict(_STRIP["analysis"], doubling=dict(
+        _STRIP["analysis"]["doubling"], plane_point=["0", "0", "0"]))),
     # the name is the run's directory under --out: one path component
     "name-number": dict(_STRIP, name=5),
     "name-escapes-out": dict(_STRIP, name="../escaped"),
@@ -491,6 +506,13 @@ BAD_CONFIGS = {
     "monotonicity-radius-nan": _disk_with(monotonicity=_mono(radii=[0.1, float("nan")])),
     "monotonicity-base-2d": _disk_with(monotonicity=_mono(base_point=[1, 0])),
     "monotonicity-base-inf": _disk_with(monotonicity=_mono(base_point=[float("inf"), 0, 0])),
+    # the monotonicity stage's own checks: a base point on N, and radii that
+    # are numbers below half the reach R0 of N (R0 = 1 for the unit sphere)
+    "monotonicity-base-off-sphere": _disk_with(monotonicity=_mono(base_point=[0.5, 0, 0])),
+    "monotonicity-radius-beyond-half-reach": _disk_with(monotonicity=_mono(radii=[0.1, 0.6])),
+    "monotonicity-radii-strings": _disk_with(monotonicity=_mono(radii=["0.1", "0.2"])),
+    "segment-radius-beyond-half-reach": dict(_SEGMENT, analysis={"monotonicity": dict(
+        _SEGMENT["analysis"]["monotonicity"], radii=[0.1, 0.6])}),
     "fermi-base-2d": _disk_with(fermi=dict(_DISK["analysis"]["fermi"], base_point=[1, 0])),
     "fermi-base-off-sphere": _disk_with(fermi=dict(_DISK["analysis"]["fermi"],
                                                    base_point=[0.5, 0, 0])),

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fbms.constraints import (
     Ellipsoid,
-    Graph,
     Plane,
     ProjectionError,
     Sphere,
@@ -24,7 +23,6 @@ PRIMITIVES = {
     "plane": Plane((0, 0, 0), (0, 0, 1)),
     "ellipsoid": Ellipsoid((0, 0, 0), (1.2, 1.0, 0.8)),
     "torus": Torus((0, 0, 0), 2.0, 0.5),
-    "graph": Graph({"cxx": 0.2, "cyy": -0.1, "cxy": 0.05}),
 }
 
 coord = st.floats(-0.3, 0.3, allow_nan=False)
@@ -40,7 +38,6 @@ def test_projection_idempotent_and_on_surface(name, dx, dy, dz):
         "plane": np.array([0.2, -0.1, 0.0]),
         "ellipsoid": np.array([0.0, 0.0, 0.8]),
         "torus": np.array([2.5, 0.0, 0.0]),
-        "graph": np.array([0.0, 0.0, 0.0]),
     }[name]
     x = anchor + np.array([dx, dy, dz])
     p = c.project(x)
@@ -105,9 +102,6 @@ REACH_CASES = {
     "ellipsoid": (Ellipsoid((0, 0, 0), (1.2, 1.0, 0.8)), (1.2, 0, 0), 0.3),
     "torus": (Torus((0, 0, 0), 2.0, 0.5), (2.5, 0, 0), 0.45),
     "torus-across-hole": (Torus((0, 0, 0), 1.0, 0.7), (0.3, 0, 0), 0.8),
-    "graph": (Graph({"cxx": 0.2, "cyy": -0.1, "cxy": 0.05}), (0, 0, 0), 1.0),
-    "graph-flat": (Graph({"c0": 0.1, "cx": 0.3}), (0, 0, 0.1), 1.0),
-    "graph-cylinder": (Graph({"cxx": 0.2}), (0, 0, 0), 1.0),
 }
 
 
@@ -116,14 +110,6 @@ def test_sampled_turning_bound_respects_declared_reach(case):
     constraint, center, radius = REACH_CASES[case]
     kappa, _ = estimate_kappa(constraint, center, radius, sample_count=300)
     assert kappa <= (1.0 + 1e-9) / constraint.reach()
-
-
-def test_graph_reach_is_tight_on_parabolic_cylinder():
-    # z = 0.2 x^2 curves by 0.4 at its vertex, so its reach is 2.5
-    constraint, center, radius = REACH_CASES["graph-cylinder"]
-    assert constraint.reach() == pytest.approx(2.5, rel=1e-15)
-    kappa, _ = estimate_kappa(constraint, center, radius, sample_count=300)
-    assert kappa * constraint.reach() >= 0.98
 
 
 def test_batch_projection_drops_only_failed_rows():
@@ -206,7 +192,6 @@ def test_constraint_from_spec_roundtrip():
         {"type": "ellipsoid", "center": [0, 0, 0], "semi_axes": [1, 2, 3]},
         {"type": "torus", "center": [0, 0, 0], "major_radius": 2.0,
          "minor_radius": 0.5},
-        {"type": "graph", "coefficients": {"cxx": 0.1}},
     ]
     for spec in specs:
         c = constraint_from_spec(spec)

@@ -4,7 +4,7 @@ Neumann residual of the orthogonality condition."""
 import numpy as np
 import pytest
 
-from fbms.constraints import Ellipsoid, Graph, Plane, Sphere, Torus
+from fbms.constraints import Ellipsoid, Plane, Sphere, Torus
 from fbms.fermi import FermiChart, GridSpec, build_chart, graph_extract, neumann_residual
 from fbms.mesh import TriangleMesh, vertex_normals
 from fbms.samplers import (
@@ -35,13 +35,11 @@ def test_build_chart_rejects_off_surface_base():
 def test_chart_radius_capped_by_turning_radius():
     with pytest.raises(ValueError, match="0.9 R0"):
         build_chart(BALL, P, 0.95)
-    # every primitive declares its reach R0: 0.5 for this torus, 2.5 for
-    # this graph (1 / its curvature 0.4 at the vertex)
-    for constraint, base, r0 in ((Torus((0, 0, 0), 2.0, 0.5), (2.5, 0, 0), 0.45),
-                                 (Graph({"cxx": 0.2}), (0, 0, 0), 2.25)):
-        build_chart(constraint, np.array(base), 0.99 * r0)
-        with pytest.raises(ValueError, match="0.9 R0"):
-            build_chart(constraint, np.array(base), r0)
+    # every primitive declares its reach R0: 0.5 for this torus
+    torus, base, r0 = Torus((0, 0, 0), 2.0, 0.5), np.array([2.5, 0.0, 0.0]), 0.45
+    build_chart(torus, base, 0.99 * r0)
+    with pytest.raises(ValueError, match="0.9 R0"):
+        build_chart(torus, base, r0)
 
 
 def test_frame_must_be_orthonormal():

@@ -61,9 +61,8 @@ def test_unused_imports_sees_dotted_and_exported_names():
 
 
 # Public names that only tests call: the references the tests compare the
-# library against, and criterion 9's rescaling and curvature survey.
+# library against, and criterion 9's rescaling.
 ORACLES = [
-    "blowup.curvature_survey",
     "blowup.rescale",
     "constraints.estimate_kappa",
     "samplers.half_disk",

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fbms._kernels import deficit_sum_tris, mass_in_ball_tris
-from fbms.constraints import Ellipsoid, Graph, Plane, Sphere, Torus
+from fbms._kernels import deficit_sum_tris, mass_in_ball_segments, mass_in_ball_tris
+from fbms.constraints import Ellipsoid, Plane, Sphere, Torus
 from fbms.monotonicity import (
     Polyline,
     check_monotonicity,
@@ -30,11 +30,11 @@ from fbms.samplers import (
 
 def test_polyline_segment_mass_exact():
     line = Polyline(np.array([[-2.0, 0.0], [3.0, 0.0]]))
-    out = mass_in_ball(line, np.array([0.0, 0.0]), 1.0)
-    assert np.isclose(out.mass, 2.0)
-    assert out.clipped_triangle_count == 1  # one segment crosses the sphere
-    out = mass_in_ball(line, np.array([10.0, 0.0]), 1.0)
-    assert out.mass == 0.0
+    assert np.isclose(mass_in_ball(line, np.array([0.0, 0.0]), 1.0), 2.0)
+    v = line.vertices
+    # one segment crosses the sphere
+    assert mass_in_ball_segments(v[:-1], v[1:], np.zeros(3), 1.0)[1] == 1
+    assert mass_in_ball(line, np.array([10.0, 0.0]), 1.0) == 0.0
 
 
 @pytest.mark.parametrize("r", default_radius_grid(0.4))
@@ -42,9 +42,10 @@ def test_radial_segment_mass_is_exactly_the_radius(r):
     # the segment from the base point along its own line: the ball holds
     # the arclengths [0, r] of it, with nothing to round
     segment = Polyline(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-    out = mass_in_ball(segment, np.array([1.0, 0.0, 0.0]), r)
-    assert out.mass == r
-    assert out.clipped_triangle_count == 1
+    p = np.array([1.0, 0.0, 0.0])
+    assert mass_in_ball(segment, p, r) == r
+    v = segment.vertices
+    assert mass_in_ball_segments(v[:-1], v[1:], p, r) == (r, 1)
 
 
 def test_planar_polyline_profile_equals_its_padded_copy():
@@ -62,7 +63,7 @@ def test_disk_mass_quadratic_in_radius():
     m = disk(1.0, 24, 72)
     p = np.zeros(3)
     for r in (0.2, 0.4):
-        got = mass_in_ball(m, p, r).mass
+        got = mass_in_ball(m, p, r)
         assert abs(got - np.pi * r * r) < 1e-12 * np.pi * r * r
 
 
@@ -72,7 +73,7 @@ def test_mass_monotone_in_radius(radii):
     m = disk(1.0, 10, 30)
     p = np.array([0.3, 0.1, 0.0])
     radii = sorted(radii)
-    masses = [mass_in_ball(m, p, r).mass for r in radii]
+    masses = [mass_in_ball(m, p, r) for r in radii]
     assert all(b >= a - 1e-12 for a, b in zip(masses, masses[1:]))
 
 
@@ -98,7 +99,7 @@ def test_deficit_rejects_bad_annulus():
 
 def _interior_density(mesh, p, radii):
     """The classical density ratio mass / r^2 at an interior point."""
-    return [mass_in_ball(mesh, p, r).mass / r**2 for r in radii]
+    return [mass_in_ball(mesh, p, r) / r**2 for r in radii]
 
 
 def test_interior_density_of_disk_is_pi():
@@ -167,12 +168,11 @@ def test_radial_segment_density_exact_exponential():
 
 
 # gamma = 2 / R0: the ellipsoid's reach is 0.8^2 / 1.2, the torus's its tube
-# radius, and the graph's 1 / (2 * 0.2), its radius of curvature at the vertex
+# radius
 @pytest.mark.parametrize("constraint, base, gamma", [
     (Ellipsoid((0, 0, 0), (1.2, 1.0, 0.8)), (1.2, 0.0, 0.0), 3.75),
     (Torus((0, 0, 0), 2.0, 0.5), (2.5, 0.0, 0.0), 4.0),
-    (Graph({"cxx": 0.2}), (0.0, 0.0, 0.0), 0.8),
-], ids=["ellipsoid", "torus", "graph"])
+], ids=["ellipsoid", "torus"])
 def test_density_profile_takes_gamma_from_the_reach(constraint, base, gamma):
     segment = Polyline(np.array([base, np.add(base, (0.0, 0.0, 1.0))]))
     prof = density_profile(segment, constraint, np.array(base), [0.05, 0.1])

@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 from scipy.special import i0, i1
 
 from fbms.blowup import reflect_double
-from fbms.constraints import Ellipsoid, Graph, Plane, Sphere, Torus
+from fbms.constraints import Ellipsoid, Plane, Sphere, Torus
 from fbms.mesh import TriangleMesh, refine, vertex_normals
 from fbms.samplers import (
     CRITICAL_CATENOID_T0,
@@ -245,8 +245,7 @@ def test_assembly_warns_on_non_minimal_input():
     Sphere((0, 0, 0), 1.0),
     Ellipsoid((0, 0, 0), (1.0, 1.0, 0.7)),
     Torus((0, 0, 0), 0.7, 0.3),
-    Graph({"c0": 0.1, "cxx": 0.3, "cxy": 0.2, "cyy": -0.4}),
-], ids=["sphere", "ellipsoid", "torus", "graph"])
+], ids=["sphere", "ellipsoid", "torus"])
 def test_boundary_second_form_matches_pointwise_loop(constraint):
     # a bumpy disk whose rim lies near N, so the vertex normals leave the
     # rim at varied angles; the form's boundary term equals A^N(v, v) times
