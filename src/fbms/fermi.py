@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constraints import _length
 from .mesh import _any_orthonormal
 
 
@@ -82,8 +83,8 @@ def build_chart(constraint, p, r0) -> FermiChart:
     constraint.check_on(p)
     n = constraint.unit_normal(p[None, :])
     e1 = _any_orthonormal(n)
-    return FermiChart(base=p, frame=np.vstack([n, e1, np.cross(n, e1)]), radius=float(r0),
-                      constraint=constraint)
+    return FermiChart(base=p, frame=np.vstack([n, e1, np.cross(n, e1)]),
+                      radius=_length("r0", r0), constraint=constraint)
 
 
 @dataclass

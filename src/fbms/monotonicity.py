@@ -79,23 +79,28 @@ class DensityProfile:
 
 
 class _SortedFaces:
-    """A mesh's non-degenerate faces and unit normals, sorted by a lower bound
-    on their distance to p, so those a ball about p can reach are a prefix."""
+    """The non-degenerate faces of a mesh, and their unit normals, that the
+    ball B(p, reach) can reach, sorted by a lower bound on their distance to
+    p: the nearest corner's distance less the longest side. Those a ball
+    B(p, r) with r <= reach can reach are then a prefix, in the order a
+    stable sort of all faces gives them; only the faces below the bound are
+    gathered and sorted."""
 
-    def __init__(self, mesh: TriangleMesh, p):
-        a, b, c = mesh.vertices[mesh.faces.T]
-        near = (_kernels._vertex_distances(a, b, c, p).min(axis=0)
+    def __init__(self, mesh: TriangleMesh, p, reach):
+        dist = np.linalg.norm(mesh.vertices - p, axis=1)
+        near = (np.min([dist[corner] for corner in mesh.faces.T], axis=0)
                 - mesh.edge_lengths().max(axis=0))
-        order = np.flatnonzero(mesh.face_areas() > 0.0)
+        order = np.flatnonzero((near < reach) & (mesh.face_areas() > 0.0))
         order = order[np.argsort(near[order], kind="stable")]
         self.near = near[order]
-        self.faces = (a[order], b[order], c[order], mesh.face_normals().T[order])
+        a, b, c = mesh.vertices[mesh.faces[order].T]
+        self.faces = (a, b, c, mesh.face_normals().T[order])
 
     @staticmethod
     def within(geometry, p, r):
         """(a, b, c, normals) of the faces that can reach the ball B(p, r)."""
         if isinstance(geometry, TriangleMesh):
-            geometry = _SortedFaces(geometry, p)
+            geometry = _SortedFaces(geometry, p, r)
         k = np.searchsorted(geometry.near, r)
         return [x[:k] for x in geometry.faces]
 
@@ -170,7 +175,7 @@ def density_profile(geometry, constraint, p, radii, check=None) -> DensityProfil
         if check is None:
             check = verify_minimal(geometry, constraint)
         verified = bool(check["passes"])
-        geometry = _SortedFaces(geometry, p)
+        geometry = _SortedFaces(geometry, p, radii[-1])
     k = 1 if isinstance(geometry, Polyline) else 2
     Lambda1 = k * (3.0 * gamma)
     masses = [mass_in_ball(geometry, p, r) for r in radii]

@@ -22,7 +22,7 @@ import scipy
 
 from . import __version__, fermi
 from .blowup import reflect_double
-from .constraints import Plane, constraint_from_spec
+from .constraints import Plane, _is_number, constraint_from_spec
 from .fermi import GridSpec, build_chart, graph_extract, neumann_residual
 from .mesh import mean_curvature_vector, validate_mesh, vertex_normals
 from .monotonicity import (
@@ -516,7 +516,8 @@ def _doubling(geometry, constraint, check, block):
 def _base_point(value, polyline=False):
     """3 finite numbers, or 2 for a polyline, whose points may lie in the plane."""
     p = np.asarray(value, dtype=float)
-    if p.shape not in ([(2,), (3,)] if polyline else [(3,)]) or not np.isfinite(p).all():
+    if (p.shape not in ([(2,), (3,)] if polyline else [(3,)]) or not np.isfinite(p).all()
+            or not all(map(_is_number, value))):
         raise ValueError("base_point must be 3 finite numbers"
                          + (", or 2 for a polyline in the plane" if polyline else ""))
     return p

@@ -517,6 +517,14 @@ BAD_CONFIGS = {
     "fermi-base-off-sphere": _disk_with(fermi=dict(_DISK["analysis"]["fermi"],
                                                    base_point=[0.5, 0, 0])),
     "fermi-r0-negative": _disk_with(fermi=dict(_DISK["analysis"]["fermi"], r0=-0.4)),
+    # a base point and r0 are JSON numbers: float() would read a string or a bool
+    "monotonicity-base-point-strings": _disk_with(monotonicity=_mono(base_point=["1", "0", "0"])),
+    "fermi-base-point-strings": _disk_with(fermi=dict(_DISK["analysis"]["fermi"],
+                                                      base_point=["1", "0", "0"])),
+    "fermi-r0-string": _disk_with(fermi=dict(_DISK["analysis"]["fermi"], r0="0.4")),
+    # True would read as r0 = 1, inside the reach of a plane
+    "fermi-r0-bool": dict(_STRIP, analysis=dict(_STRIP["analysis"], fermi={
+        "base_point": [0, 0, 0], "r0": True})),
     "doubling-zero-normal": dict(_STRIP, analysis=dict(_STRIP["analysis"], doubling={
         "plane_point": [0, 0, 0], "plane_normal": [0, 0, 0]})),
 }

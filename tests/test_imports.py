@@ -1,6 +1,12 @@
-"""Every module of the package and of its tests uses each name it imports."""
+"""Every module of the package and of its tests uses each name it imports,
+and importing the package loads no module beyond it, NumPy, SciPy and the
+standard-library modules it names."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,3 +104,27 @@ def test_every_public_name_is_used_outside_the_tests():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in named]
     assert sorted(unused) == ORACLES
+
+
+# The standard-library modules fbms imports, and those tarfile loads (grp,
+# pwd); a module that numpy and scipy.sparse load already may be listed too.
+STDLIB = {"argparse", "copy", "csv", "dataclasses", "functools", "grp", "hashlib", "io",
+          "json", "numbers", "pathlib", "pwd", "re", "sys", "tarfile", "time", "warnings"}
+
+
+def _loaded_modules(imports):
+    """The modules a fresh interpreter has loaded after `import <imports>`."""
+    code = f"import {imports}, json, sys; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    return set(json.loads(run.stdout))
+
+
+def test_package_imports_load_no_other_module():
+    # the setup path's import cost: a new module there is a new dependency
+    base = _loaded_modules("numpy, scipy.sparse, scipy.sparse.linalg")
+    extra = _loaded_modules("fbms, fbms.scenarios, fbms.cli") - base
+    assert {m for m in extra if m != "fbms" and not m.startswith("fbms.")} <= STDLIB
+    assert "fbms.scenarios" in extra

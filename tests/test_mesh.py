@@ -1,11 +1,15 @@
 """Mesh data structure and discrete operators."""
 
+import contextlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fbms import obj_io
 from fbms.constraints import Plane, Sphere
 from fbms.mesh import (
     TriangleMesh,
@@ -279,6 +283,73 @@ def test_read_obj_names_a_blank_only_record(tmp_path, text, reason):
     with pytest.raises(ValueError) as info:
         read_obj(path)
     assert str(info.value) == reason
+
+
+def _per_line_read(path):
+    """read_obj as a loop over str.splitlines: a record is a line whose first
+    word is v or f, and its body the rest after the next whitespace run. The
+    bodies of a type go to one np.loadtxt call unless all are blank."""
+    records = {"v": ([], []), "f": ([], [])}
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        parts = line.split(None, 1)
+        if parts and parts[0] in records:
+            records[parts[0]][0].append(parts[1] if len(parts) == 2 else "")
+            records[parts[0]][1].append(number)
+    arrays = []
+    for kind, (rows, numbers) in records.items():
+        faces = kind == "f"
+        rows = [re.sub(r"/\S*", "", row) if faces else row for row in rows]
+        out = None
+        if rows and all(row.strip() for row in rows):
+            with contextlib.suppress(ValueError):
+                out = np.loadtxt(rows, dtype=np.int64 if faces else float, comments=None,
+                                 ndmin=2, usecols=None if faces else (0, 1, 2))
+        if out is None or out.shape != (len(rows), 3):  # the row-by-row reasons
+            out = obj_io._parse(path, "".join(row + "\n" for row in rows), numbers, faces)
+        arrays.append(out)
+    return TriangleMesh(arrays[0], arrays[1] - 1)
+
+
+def _read_outcome(read, path):
+    try:
+        m = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return [(x.dtype, x.shape, x.tobytes()) for x in (m.vertices, m.faces, m.constrained)]
+
+
+# every line break str.splitlines knows, whitespace that breaks no line, and
+# words and tokens that are records, look like records, or fail to parse
+_BREAK = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                          "\x85", "\u2028", "\u2029"])
+_SPACE = st.text(st.sampled_from(" \t\x1f\xa0"), max_size=2)
+_TOKEN = st.sampled_from(["1", "2", "-0.5", "1e3", "0x1", "2.0", "1/2/1", "2//1", "1/",
+                          "\xe9", "#"])
+_RECORD = st.builds(
+    lambda indent, word, sep, tokens, gaps, tail: (
+        indent + word + sep + "".join(t + g for t, g in zip(tokens, gaps)) + tail),
+    _SPACE, st.sampled_from(["v", "f", "vn", "vt", "vp", "fo", "o", "#"]), _SPACE,
+    st.lists(_TOKEN, max_size=4), st.lists(_SPACE.filter(bool), min_size=4, max_size=4),
+    _SPACE)
+_COMMENT = st.text(st.sampled_from("# v\tf\xe9\u4e2d\xa0"), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_RECORD, _COMMENT), _BREAK), max_size=12), st.booleans())
+@example([("  v 0 0 0", "\r\n"), ("v\xa01 0 0 9", "\u2028"), ("#\xe9", "\x85"),
+          ("v\t0 1 0", "\x1e"), ("vn 0 0 1", "\n"), ("\tf 1/1 2//2 3", "\x0c")], False)
+@example([("v", "\n"), ("v 0 0 0", "\n"), ("f \x1f", "\r")], False)
+@example([(" \t" * 20 + "v" + " \x1f" * 37 + "0 1 2", "\n"), ("v 1 0 0" + " " * 70, "\n"),
+          ("v" + "\xa0" * 9 + "0 0 1", "\n"), ("f" + " " * 33 + "1 2 3", "\n")], False)
+@example([("v 0 0 0", "\x1c"), ("v 1 0 0", "\x1d"), ("v 0 1 0", "\x0b"), ("f 1 2 3", "\x1e")],
+         True)
+def test_read_obj_finds_the_records_of_a_per_line_loop(tmp_path_factory, lines, only_ascii):
+    text = "".join(line + brk for line, brk in lines)
+    if only_ascii:  # text the reader scans as bytes
+        text = text.encode("ascii", "ignore").decode()
+    path = tmp_path_factory.mktemp("obj") / "mesh.obj"
+    path.write_text(text)
+    assert _read_outcome(read_obj, path) == _read_outcome(_per_line_read, path)
 
 
 @pytest.mark.parametrize("sidecar, reason", [

@@ -9,10 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fbms._kernels import deficit_sum_tris, mass_in_ball_segments, mass_in_ball_tris
+from fbms._kernels import (
+    _vertex_distances,
+    deficit_sum_tris,
+    mass_in_ball_segments,
+    mass_in_ball_tris,
+)
 from fbms.constraints import Ellipsoid, Plane, Sphere, Torus
+from fbms.mesh import TriangleMesh
 from fbms.monotonicity import (
     Polyline,
+    _SortedFaces,
     check_monotonicity,
     default_radius_grid,
     deficit_integral,
@@ -26,6 +33,42 @@ from fbms.samplers import (
     disk,
     halfplane_patch,
 )
+
+
+def _all_faces_sorted(mesh, p):
+    """Every non-degenerate face, stably sorted by its distance bound: the
+    near bounds and (a, b, c, normals) in that order."""
+    a, b, c = mesh.vertices[mesh.faces.T]
+    near = (_vertex_distances(a, b, c, p).min(axis=0)
+            - mesh.edge_lengths().max(axis=0))
+    order = np.flatnonzero(mesh.face_areas() > 0.0)
+    order = order[np.argsort(near[order], kind="stable")]
+    return near[order], (a[order], b[order], c[order], mesh.face_normals().T[order])
+
+
+def _with_zero_area_face():
+    m = disk(1.0, 8, 32)
+    return TriangleMesh(m.vertices, np.vstack([m.faces, [[0, 0, 1]]]), m.constrained)
+
+
+_T0 = CRITICAL_CATENOID_T0
+_S = catenoid_scale_for_unit_sphere(_T0)
+
+
+@pytest.mark.parametrize("mesh, p, bound", [
+    (halfplane_patch(96), np.zeros(3), 1.0),
+    (critical_catenoid(64, 64), np.array([_S * math.cosh(_T0), 0.0, _S * _T0]), 0.4),
+    (_with_zero_area_face(), np.array([0.1, 0.0, 0.0]), 0.3),
+], ids=["density-halfplane", "density-catenoid", "zero-area-face"])
+def test_bounded_face_sort_keeps_every_prefix(mesh, p, bound):
+    near, faces = _all_faces_sorted(mesh, p)
+    bounded = _SortedFaces(mesh, p, bound)
+    assert len(bounded.near) < len(near)
+    for r in [*np.linspace(0.0, bound, 33)[1:], *default_radius_grid(bound)]:
+        prefix = [x[:np.searchsorted(near, r)] for x in faces]
+        for got in (_SortedFaces.within(bounded, p, r), _SortedFaces.within(mesh, p, r)):
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in prefix]
+        assert mass_in_ball(mesh, p, r) == float(mass_in_ball_tris(*prefix[:3], p, r)[0])
 
 
 def test_polyline_segment_mass_exact():
