@@ -1,9 +1,9 @@
-"""Analytic constraint hypersurfaces as level sets, with the projection toolkit.
+"""Analytic constraint hypersurfaces as level sets, with their projections.
 
-Each primitive supplies phi, grad phi and Hess phi in closed form, declares
-its reach R0 (the largest distance within which every point has a unique
-nearest point on N; its turning bound is kappa = 1/R0). The reach bounds the
-nearest-point projection, the Fermi charts and the monotonicity radii.
+Each primitive supplies phi, grad phi, Hess phi and the nearest-point
+projection in closed form, and its reach R0: every point nearer to N than R0
+has a unique nearest point on N, and kappa = 1/R0 is its turning bound. The
+reach bounds the projection, the Fermi charts and the monotonicity radii.
 """
 
 from __future__ import annotations
@@ -20,11 +20,14 @@ class ProjectionError(RuntimeError):
 _OUTSIDE = "outside tubular neighborhood"
 
 
-def _rows_where(ok, reason, project, x):
-    """`project` (returning feet, why) on the rows where ok; the rest fail."""
-    p = np.full_like(x, np.nan)
-    why = np.full(len(x), reason, dtype=object)
-    p[ok], why[ok] = project(x[ok])
+def _rows_where(why, feet, x, reach=np.inf):
+    """`feet` on the rows of x whose `why` is ""; a row fails with its `why`, or
+    as outside where its foot lies beyond `reach`. Returns (feet, why)."""
+    p, why = np.full_like(x, np.nan), why.astype(object)
+    ok = why == ""
+    p[ok] = feet(x[ok])
+    far = np.linalg.norm(x - p, axis=1) > reach * (1 + 1e-9)
+    why[far], p[far] = _OUTSIDE, np.nan
     return p, why
 
 
@@ -58,69 +61,9 @@ class LevelSetConstraint:
 
     def _project_rows(self, x):
         """Feet of the rows of x (n, 3) and why each row failed ("" where it
-        projected); a failed row's foot is NaN and the other rows go on."""
-        g = self.grad(x)
-        return _rows_where(np.einsum("ij,ij->i", g, g) >= 1e-24,
-                           "gradient vanishes near query point", self._newton, x)
-
-    def _lagrange(self, p, lam, x):
-        """Residual rows of the Lagrange system p + lam grad phi(p) = x,
-        phi(p) = 0, and grad phi(p)."""
-        gp = self.grad(p)
-        F = np.concatenate([p + lam[:, None] * gp - x, self.phi(p)[:, None]], axis=1)
-        return F, gp
-
-    def _newton(self, x):
-        """Damped Newton on the Lagrange system, row by row in one batch. A
-        row leaves the batch one step after it meets the tolerance (the
-        quadratic step takes it to roundoff), and fails where its Newton
-        matrix is singular, it has not converged after 50 steps, or its foot
-        lies beyond the reach."""
-        feet = np.full_like(x, np.nan)
-        why = np.full(len(x), "", dtype=object)
-        tol = 1e-12 * (1.0 + np.linalg.norm(x, axis=1))
-        met = np.zeros(len(x), dtype=bool)  # met the tolerance last step
-        rows = np.arange(len(x))  # the rows still iterating
-        g = self.grad(x)
-        p = x - (self.phi(x) / np.einsum("ij,ij->i", g, g))[:, None] * g
-        gp = self.grad(p)
-        lam = np.einsum("ij,ij->i", x - p, gp) / np.einsum("ij,ij->i", gp, gp)
-
-        for it in range(51):
-            F, gp = self._lagrange(p, lam, x[rows])
-            res = np.linalg.norm(F, axis=1)
-            done = res <= tol[rows]
-            if it == 50 or done.all():
-                feet[rows[done]] = p[done]
-                rows = rows[~done]
-                break
-            leave = done & met[rows]
-            met[rows] = done
-            feet[rows[leave]] = p[leave]
-            rows, p, lam, gp, F, res = (a[~leave] for a in (rows, p, lam, gp, F, res))
-            J = np.zeros((len(p), 4, 4))
-            J[:, :3, :3] = np.eye(3) + lam[:, None, None] * self.hess(p)
-            J[:, :3, 3] = gp
-            J[:, 3, :3] = gp
-            keep = np.linalg.det(J) != 0  # singular rows fail; solve rejects a zero pivot
-            why[rows[~keep]] = _OUTSIDE
-            rows, p, lam, F, res, J = (a[keep] for a in (rows, p, lam, F, res, J))
-            step = np.linalg.solve(J, F[:, :, None])[:, :, 0]
-            # damped update: halve any step that does not reduce the residual
-            t = np.ones(len(p))
-            for _ in range(20):
-                p_new = p - t[:, None] * step[:, :3]
-                lam_new = lam - t * step[:, 3]
-                F_new, _ = self._lagrange(p_new, lam_new, x[rows])
-                worse = np.linalg.norm(F_new, axis=1) > res
-                if not np.any(worse & (res > tol[rows])):
-                    break
-                t[worse] *= 0.5
-            p, lam = p_new, lam_new
-        why[rows] = _OUTSIDE
-        why[np.linalg.norm(x - feet, axis=1) > self.reach() * (1 + 1e-9)] = _OUTSIDE
-        feet[why != ""] = np.nan
-        return feet, why
+        projected); a failed row's foot is NaN and the other rows go on. Each
+        primitive supplies its own, in closed form."""
+        raise NotImplementedError
 
     # -- pointwise geometry --------------------------------------------------
 
@@ -292,8 +235,7 @@ class Sphere(LevelSetConstraint):
     def _project_rows(self, x):
         # the centre is equally near every point of the sphere
         off_center = np.linalg.norm(x - self.center, axis=1) >= 1e-12 * self.radius
-        return _rows_where(off_center, _OUTSIDE,
-                           lambda y: (self.project(y), ""), x)
+        return _rows_where(np.where(off_center, "", _OUTSIDE), self.project, x)
 
 
 class Ellipsoid(LevelSetConstraint):
@@ -322,6 +264,37 @@ class Ellipsoid(LevelSetConstraint):
         a = self.semi_axes
         return float(a.min() ** 2 / a.max())
 
+    def _project_rows(self, x):
+        # the foot is a^2 d / (a^2 + t), d = x - center, where t is the root
+        # right of -min a^2 of f(t) = |a d / (a^2 + t)|^2 - 1, which falls
+        # there. Where d has no shortest-axis part, f(-min a^2) is finite: at
+        # the centre and deep in that principal plane it is <= 0, there is no
+        # root, and the point is equally near two or more points of N
+        a, a2 = self.semi_axes, self.semi_axes**2
+        short = a2 == a2.min()
+        d = x - self.center
+        rest = a[~short] * d[:, ~short] / (a2[~short] - a2.min())
+        root = (d[:, short] != 0).any(axis=1) | (np.einsum("ij,ij->i", rest, rest) > 1.0)
+        return _rows_where(np.where(root, "", _OUTSIDE), self._feet, x, self.reach())
+
+    def _feet(self, x):
+        """Feet of rows with a root, halving its bracket (-min a^2, |a d| - min a^2]
+        until it stops shrinking, or 100 times (a root 0, on N, takes all 100)."""
+        a2, d = self.semi_axes**2, x - self.center
+        ad = self.semi_axes * d
+        lo = np.full(len(x), -a2.min())
+        hi = np.linalg.norm(ad, axis=1) - a2.min()
+        for _ in range(100):
+            t = 0.5 * (lo + hi)
+            inside = (lo < t) & (t < hi)
+            if not inside.any():
+                break
+            t = np.where(inside, t, hi)  # a^2 + t > 0 on every row
+            q = ad / (a2 + t[:, None])
+            above = np.einsum("ij,ij->i", q, q) > 1.0
+            lo, hi = np.where(above, t, lo), np.where(above, hi, t)
+        return self.center + a2 * d / (a2 + hi[:, None])
+
 
 class Torus(LevelSetConstraint):
     """Torus about the z-axis through `center`."""
@@ -336,23 +309,19 @@ class Torus(LevelSetConstraint):
 
     def phi(self, x):
         d = np.asarray(x, dtype=float) - self.center
-        s = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
+        s = np.hypot(d[..., 0], d[..., 1])
         return (s - self.R) ** 2 + d[..., 2] ** 2 - self.r**2
 
     def grad(self, x):
         d = np.asarray(x, dtype=float) - self.center
-        s = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
-        s = np.maximum(s, 1e-300)
-        g = np.empty_like(d)
-        f = 2.0 * (s - self.R) / s
-        g[..., :2] = f[..., None] * d[..., :2]
-        g[..., 2] = 2.0 * d[..., 2]
+        s = np.maximum(np.hypot(d[..., 0], d[..., 1]), 1e-300)
+        g = 2.0 * d
+        g[..., :2] *= (1.0 - self.R / s)[..., None]
         return g
 
     def hess(self, x):
         d = np.asarray(x, dtype=float) - self.center
-        s = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
-        s = np.maximum(s, 1e-300)
+        s = np.maximum(np.hypot(d[..., 0], d[..., 1]), 1e-300)
         H = np.zeros(d.shape[:-1] + (3, 3))
         # d/dxj of 2 (s - R) xi / s
         f = 2.0 * (1.0 - self.R / s)
@@ -367,13 +336,24 @@ class Torus(LevelSetConstraint):
         return min(self.r, self.R - self.r)
 
     def _project_rows(self, x):
+        # the foot is the point of the tube circle nearest to x in its
+        # meridian half-plane: the axis has no such half-plane, and a point
+        # of the core circle is equally near its whole tube circle
         d = x - self.center
         s = np.hypot(d[:, 0], d[:, 1])
-        # every point of the core circle is equally near an axis point, so
-        # the nearest-point map is undefined there (and Hess phi is singular)
-        off_axis = s > 1e-12 * (1.0 + np.linalg.norm(d, axis=1))
-        return _rows_where(off_axis, "query point on the torus axis",
-                           super()._project_rows, x)
+        tol = 1e-12 * (1.0 + np.linalg.norm(d, axis=1))
+        off_axis, off_core = s > tol, np.hypot(s - self.R, d[:, 2]) > tol
+        why = np.where(off_axis, np.where(off_core, "", _OUTSIDE),
+                       "query point on the torus axis")
+        return _rows_where(why, self._feet, x, self.reach())
+
+    def _feet(self, x):
+        d = x - self.center
+        s = np.hypot(d[:, 0], d[:, 1])
+        w = np.column_stack([s - self.R, d[:, 2]])  # from the core circle, in the half-plane
+        w *= self.r / np.linalg.norm(w, axis=1, keepdims=True)
+        radial = (self.R + w[:, :1]) / s[:, None]
+        return self.center + np.column_stack([radial * d[:, :2], w[:, 1]])
 
 
 _PRIMITIVES = {"plane": Plane, "sphere": Sphere, "ellipsoid": Ellipsoid,

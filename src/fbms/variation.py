@@ -255,7 +255,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
         t = predicted / slope
         if s is not None:
             y = g - g_last
-            sy = s @ y.ravel()
+            sy = float(np.einsum("ij,ij->", s, y))
             if sy > 0:
                 t = sy / float(np.einsum("ij,ij->", y, h - h_last))
         t = min(t, t_cap)
@@ -276,7 +276,7 @@ def solve_minimal(initial: TriangleMesh, constraint, params: SolveParams | None 
             termination = LINE_SEARCH_FAILED
             break
         predicted = t * slope
-        s, g_last, h_last = (vcand - mesh.vertices).ravel(), g, h
+        s, g_last, h_last = vcand - mesh.vertices, g, h
         mesh, area, min_edge = cand, cand_area, cand_min_edge
         area_history.append(area)
 

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbms.constraints import (
+    _OUTSIDE,
+    _PRIMITIVES,
     Ellipsoid,
     Plane,
     ProjectionError,
@@ -26,6 +28,11 @@ PRIMITIVES = {
 }
 
 coord = st.floats(-0.3, 0.3, allow_nan=False)
+
+
+def test_projection_cases_cover_every_primitive():
+    # each primitive projects with its own _project_rows, so each needs a case
+    assert {k: type(c) for k, c in PRIMITIVES.items()} == _PRIMITIVES
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
@@ -121,6 +128,87 @@ def test_batch_projection_drops_only_failed_rows():
     assert np.array_equal(feet[[0, 2]], torus.project(x[[0, 2]]))
     with pytest.raises(ProjectionError, match="torus axis"):
         torus.project(x)
+
+
+def _torus_points(torus, u, v):
+    """Points of the torus at angles u about its axis and v about its core
+    circle, and the outer unit normals there."""
+    n = np.stack([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)], axis=1)
+    core = torus.R * np.stack([np.cos(u), np.sin(u), np.zeros_like(u)], axis=1)
+    return torus.center + core + torus.r * n, n
+
+
+def _ellipsoid_points(ellipsoid, u, v):
+    """Points a * n(u, v) of the ellipsoid, and the outer unit normals there."""
+    n = np.stack([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)], axis=1)
+    p = ellipsoid.semi_axes * n
+    g = p / ellipsoid.semi_axes**2
+    return ellipsoid.center + p, g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+CLOSED_FORM_CASES = {
+    "torus": (Torus((0, 0, 0), 2.0, 0.5), _torus_points),
+    "thin-torus": (Torus((0, 0, 0), 1.0, 0.7), _torus_points),
+    "ellipsoid": (Ellipsoid((0, 0, 0), (1.2, 1.0, 0.8)), _ellipsoid_points),
+}
+
+
+@pytest.mark.parametrize("case", CLOSED_FORM_CASES)
+def test_closed_form_feet_are_nearest_points(case):
+    # x = p + s nu(p) with |s| below the reach has the foot p (Federer); the
+    # test checks that, and the properties that make a foot the nearest point
+    constraint, points = CLOSED_FORM_CASES[case]
+    rng = np.random.default_rng(4)
+    u, v = rng.uniform(0, 2 * np.pi, size=(2, 300))
+    p, nu = points(constraint, u, v)
+    s = 0.95 * constraint.reach() * rng.uniform(-1, 1, size=300)
+    x = p + s[:, None] * nu
+    feet, why = constraint._project_rows(x)
+    assert (why == "").all()
+    assert np.abs(feet - p).max() <= 1e-12
+    norm = np.linalg.norm(feet, axis=1)
+    assert (np.abs(constraint.phi(feet)) <= 1e-12 * (1 + norm)).all()
+    off = x - feet
+    dist = np.linalg.norm(off, axis=1)
+    g = constraint.grad(feet)
+    sine = np.linalg.norm(np.cross(off, g), axis=1) / (dist * np.linalg.norm(g, axis=1))
+    assert (sine[dist > 1e-9] <= 1e-10).all()
+    # no seeded point of N is nearer than the foot
+    samples, _ = points(constraint, *rng.uniform(0, 2 * np.pi, size=(2, 20000)))
+    nearest = np.array([np.linalg.norm(samples - y, axis=1).min() for y in x])
+    assert (nearest >= dist - 1e-12).all()
+    # a point of N is its own foot, also where the ellipsoid's root is 0
+    on_n, why = constraint._project_rows(p)
+    assert (why == "").all()
+    assert np.abs(on_n - p).max() <= 1e-12
+
+
+# (constraint, a row with no foot, a row with one)
+FAILING_ROWS = {
+    # a point of the core circle is equally near its whole tube circle
+    "torus-core-circle": (Torus((0, 0, 0), 2.0, 0.5), (0.0, -2.0, 0.0), (2.6, 0.0, 0.0)),
+    # the centre and the deep points of the plane across the shortest axis
+    # are equally near two or more points of N
+    "ellipsoid-centre": (Ellipsoid((0, 0, 0), (1.2, 1.0, 0.8)), (0.0, 0.0, 0.0),
+                         (1.1, 0.0, 0.1)),
+    "ellipsoid-deep-plane": (Ellipsoid((0, 0, 0), (1.2, 1.0, 0.8)), (0.2, 0.1, 0.0),
+                             (0.0, 0.0, 0.7)),
+    # a foot exists, but farther than the reach
+    "torus-past-reach": (Torus((0, 0, 0), 2.0, 0.5), (3.1, 0.0, 0.0), (2.6, 0.0, 0.0)),
+    "ellipsoid-past-reach": (Ellipsoid((0, 0, 0), (1.2, 1.0, 0.8)), (1.8, 0.0, 0.0),
+                             (1.1, 0.0, 0.1)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", FAILING_ROWS)
+def test_rows_without_a_foot_fail_closed(case):
+    constraint, bad, good = FAILING_ROWS[case]
+    x = np.array([good, bad, good])
+    feet, why = constraint._project_rows(x)
+    assert list(why) == ["", _OUTSIDE, ""]
+    assert np.isnan(feet[1]).all()
+    assert np.array_equal(feet[[0, 2]], constraint.project(x[[0, 2]]))
 
 
 def test_kappa_rejects_tiny_sample():

@@ -73,8 +73,8 @@ def test_chart_roundtrip_ellipsoid(base):
     chart = build_chart(Ellipsoid((0, 0, 0), (1.2, 1.0, 0.8)), np.array(base), 0.4)
     coords = np.random.default_rng(1).uniform(-0.15, 0.15, size=(200, 3))
     back = chart.to_fermi(chart.from_fermi(coords))
-    # the ellipsoid's projection is a Newton solve to 1e-12 relative, and
-    # both directions of the round trip project once
+    # the ellipsoid's projection solves for one scalar root by halving its
+    # bracket, and both directions of the round trip project once
     assert np.abs(back - coords).max() <= 1e-12
 
 

@@ -1,5 +1,10 @@
 """First variation, free boundary residual, and the constrained solver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -205,3 +210,31 @@ def test_verify_minimal_rejects_bent_surface():
     out = verify_minimal(bent, Plane((0, 0, 0), (0, 0, 1)))
     assert not out["passes"]
     assert out["max_interior_H"] > 5e-2
+
+
+# the final mesh of the catenoid descent, hashed, from a fresh interpreter
+_SOLVE_HASH = """
+import hashlib
+from fbms.constraints import Sphere
+from fbms.scenarios import perturbed_critical_catenoid
+from fbms.variation import solve_minimal
+mesh = solve_minimal(perturbed_critical_catenoid(64, 64), Sphere((0, 0, 0), 1.0)).final_mesh
+print(hashlib.sha256(mesh.vertices.tobytes()).hexdigest())
+"""
+
+
+def _solve_hash(threads):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = str(threads)
+    run = subprocess.run([sys.executable, "-c", _SOLVE_HASH], capture_output=True,
+                         text=True, env=env, check=True)
+    return run.stdout.strip()
+
+
+def test_descent_is_independent_of_the_blas_thread_count():
+    # a BLAS reduction splits its sum across threads, so its rounding, and
+    # with it every later iterate, would depend on the thread count
+    assert _solve_hash(1) == _solve_hash(2)
