@@ -125,16 +125,19 @@ def graph_extract(chart: FermiChart, mesh, tangent_halfspace, grid_spec: GridSpe
 
     tangent_halfspace = (w1, w2): unit vectors in chart coordinate space
     spanning the tangent plane of the surface at the base, w1 first (the
-    direction pointing into the surface, the graph's t axis). The graph
-    height u is measured along w1 x w2. Surface heights are found by exact
-    line/triangle intersection in chart coordinates.
+    direction pointing into the surface, the graph's t axis). In the
+    orthonormal frame (w1, w2, w3 = w1 x w2) a face corner has coordinates
+    (t, s, u), u the graph height. The line through (t, s) along w3 meets a
+    face at the barycentrics (beta, gamma) of (t, s) in the face's projected
+    2x2 edge matrix, at height u0 + beta du1 + gamma du2 (the ray/triangle
+    test of Moller & Trumbore, 1997): all grid points at once, in closed form.
     """
     w1 = np.asarray(tangent_halfspace[0], dtype=float)
     w2 = np.asarray(tangent_halfspace[1], dtype=float)
     w1 = w1 / np.linalg.norm(w1)
     w2 = w2 - (w2 @ w1) * w1
     w2 /= np.linalg.norm(w2)
-    w3 = np.cross(w1, w2)
+    frame = np.vstack([w1, w2, np.cross(w1, w2)])
 
     # only the part of the mesh inside the chart ball is invertible
     near = np.linalg.norm(mesh.vertices - chart.base, axis=1) < chart.radius
@@ -142,41 +145,40 @@ def graph_extract(chart: FermiChart, mesh, tangent_halfspace, grid_spec: GridSpe
     if len(faces) == 0:
         raise ValueError("no intersection")
     used = np.unique(faces)
-    coords = np.full((mesh.n_vertices, 3), np.nan)
-    coords[used] = chart.to_fermi(mesh.vertices[used])
-    tris = coords[faces]  # (F, 3, 3) in chart space
+    local = np.full((mesh.n_vertices, 3), np.nan)
+    local[used] = chart.to_fermi(mesh.vertices[used]) @ frame.T
+    tris = local[faces]  # (F, 3, 3): (t, s, u) of each corner
+    e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    # the frame is orthonormal, so this is the determinant of the 3x3
+    # system [e1, e2, -w3] up to sign; faces parallel to w3 have none
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    ok = np.abs(det) > 1e-14
+    origin, e1, e2, det = tris[ok, 0], e1[ok].T, e2[ok].T, det[ok]
 
     tv = grid_spec.h * np.arange(grid_spec.nt)
     sv = (np.linspace(-grid_spec.s_half, grid_spec.s_half, grid_spec.ns)
           if grid_spec.s_half > 0 else np.zeros(1))
-    hits = [[[] for _ in sv] for _ in tv]
-    E1 = tris[:, 1] - tris[:, 0]
-    E2 = tris[:, 2] - tris[:, 0]
-    # the systems [E1, E2, -w3] [beta, gamma, tau]^T = q - tri0 share their
-    # matrices across grid points; triangles parallel to w3 have none
-    M = np.stack([E1, E2, np.broadcast_to(-w3, E1.shape)], axis=2)
-    ok = np.abs(np.linalg.det(M)) > 1e-14
-    M, origins = M[ok], tris[ok, 0]
-    for i, t in enumerate(tv):
-        for j, s in enumerate(sv):
-            q = t * w1 + s * w2
-            sol = np.linalg.solve(M, (q - origins)[:, :, None])[:, :, 0]
-            beta, gamma, tau = sol[:, 0], sol[:, 1], sol[:, 2]
-            inside = (beta >= -1e-9) & (gamma >= -1e-9) & (beta + gamma <= 1 + 1e-9)
-            found = np.sort(tau[inside])
-            # adjacent triangles sharing an edge both report the hit
-            dedup = []
-            for u in found:
-                if not dedup or u - dedup[-1] > 1e-9 * (1 + abs(u)):
-                    dedup.append(float(u))
-            hits[i][j] = dedup
-    sheet_count = max((len(hits[i][j]) for i in range(len(tv)) for j in range(len(sv))), default=0)
+    t, s = np.meshgrid(tv, sv, indexing="ij")
+    dt = t.reshape(-1, 1) - origin[:, 0]  # (grid points, faces)
+    ds = s.reshape(-1, 1) - origin[:, 1]
+    beta = (dt * e2[1] - ds * e2[0]) / det
+    gamma = (e1[0] * ds - e1[1] * dt) / det
+    inside = (beta >= -1e-9) & (gamma >= -1e-9) & (beta + gamma <= 1 + 1e-9)
+    heights = np.where(inside, origin[:, 2] + beta * e1[2] + gamma * e2[2], np.inf)
+    found = np.sort(heights, axis=1)[:, :inside.sum(axis=1).max(initial=0)]
+    # faces sharing an edge or a vertex all report its hit: a height starts
+    # a new sheet where it exceeds the last kept one
+    kept = np.zeros(found.shape, dtype=bool)
+    last = np.full(len(found), -np.inf)
+    for k, u in enumerate(found.T):
+        kept[:, k] = u - last > 1e-9 * (1 + np.abs(u))
+        last = np.where(kept[:, k], u, last)
+    sheet_count = int(kept.sum(axis=1).max(initial=0))
     if sheet_count == 0:
         raise ValueError("no intersection")
-    u = np.full((len(tv), len(sv), sheet_count), np.nan)
-    for i, row in enumerate(hits):
-        for j, found in enumerate(row):
-            u[i, j, :len(found)] = found
+    u = np.full((len(found), sheet_count), np.nan)
+    u[np.nonzero(kept)[0], (np.cumsum(kept, axis=1) - 1)[kept]] = found[kept]
+    u = u.reshape(len(tv), len(sv), sheet_count)
     return GraphSample(t_values=tv, s_values=sv, u=u, valid=~np.isnan(u),
                        sheet_count=sheet_count)
 

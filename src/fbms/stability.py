@@ -31,7 +31,7 @@ from .mesh import (
     second_fundamental_norm,
     vertex_normals,
 )
-from .variation import verify_minimal
+from .variation import _diagonal_lu, verify_minimal
 
 STABILITY_TOL = 1e-8  # stable means lambda_min >= -STABILITY_TOL
 
@@ -131,13 +131,10 @@ def lowest_eigenpair(form: StabilityForm):
     Gershgorin bound, started from the constant field: the ground state has
     one sign on a connected surface, so the start is never deficient in it.
 
-    A - sigma M is factored once, on a symmetric minimum-degree ordering of
-    its pattern with diagonal pivots. The shift lies a unit below the
-    Gershgorin bound, so every row of A - sigma M has a positive diagonal
-    that exceeds the sum of its off-diagonal magnitudes by at least its
-    mass; a strictly diagonally dominant matrix keeps that property through
-    Gaussian elimination in any symmetric order, so no pivot is small and
-    no row exchange is needed.
+    A - sigma M is factored once with diagonal pivots
+    (`variation._diagonal_lu`). The shift lies a unit below the Gershgorin
+    bound, so every row of A - sigma M has a positive diagonal that exceeds
+    the sum of its off-diagonal magnitudes by at least its mass.
 
     The eigenfunction is M-normalised with sum(m f) > 0; lambda is its
     Rayleigh quotient and the residual is measured on the returned pair.
@@ -149,12 +146,7 @@ def lowest_eigenpair(form: StabilityForm):
     radii = np.asarray(absA.sum(axis=1)).ravel() - np.abs(A.diagonal())
     lower = float(np.min((A.diagonal() - radii) / m))
     sigma = min(lower, 0.0) - 1.0
-    lu = spla.splu(
-        (A - sigma * form.mass).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    lu = _diagonal_lu((A - sigma * form.mass).tocsc())
     n = A.shape[0]
     _, vecs = spla.eigsh(
         A, k=1, M=form.mass, sigma=sigma, v0=np.ones(n),

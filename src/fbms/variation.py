@@ -182,17 +182,22 @@ def _metric_factor(mesh: TriangleMesh, tau: float):
     solve.
 
     Every row of P has a positive diagonal that exceeds the sum of its
-    off-diagonal magnitudes by its vertex area, and strict diagonal
-    dominance survives Gaussian elimination in any symmetric order: so the
-    factor takes diagonal pivots on a symmetric minimum-degree ordering, as
-    `stability.lowest_eigenpair` does. The Laplacian is assembled for this
-    alone and not cached on the mesh.
+    off-diagonal magnitudes by its vertex area. The Laplacian is assembled
+    for this alone and not cached on the mesh.
     """
     areas = np.maximum(mesh.vertex_areas(), 1e-300)
     free = sp.diags((~mesh.topology.pinned).astype(float))
     P = tau * _assemble_laplacian(mesh, clip_negative=True) + sp.diags(areas)
     P = (free @ P @ free + sp.diags(mesh.topology.pinned.astype(float))).tocsc()
-    return spla.splu(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    return _diagonal_lu(P)
+
+
+def _diagonal_lu(A):
+    """LU factor of a symmetric, strictly diagonally dominant CSC matrix.
+    Dominance survives Gaussian elimination in any symmetric order, so no
+    pivot is small: diagonal pivots on a symmetric minimum-degree ordering
+    of A's pattern need no row exchange."""
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 
 

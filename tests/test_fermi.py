@@ -1,11 +1,20 @@
 """Fermi charts, graph extraction over the tangent half-space, and the
 Neumann residual of the orthogonality condition."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from fbms.constraints import Ellipsoid, Plane, Sphere, Torus
-from fbms.fermi import FermiChart, GridSpec, build_chart, graph_extract, neumann_residual
+from fbms.fermi import (
+    FermiChart,
+    GraphSample,
+    GridSpec,
+    build_chart,
+    graph_extract,
+    neumann_residual,
+)
 from fbms.mesh import TriangleMesh, vertex_normals
 from fbms.samplers import (
     CRITICAL_CATENOID_T0,
@@ -236,7 +245,8 @@ _A = catenoid_scale_for_unit_sphere(_T0)
 @pytest.mark.parametrize("mesh, base", [
     (disk(1.0, 32, 96), P),
     (critical_catenoid(48, 48), np.array([_A * np.cosh(_T0), 0.0, _A * _T0])),
-], ids=["disk", "catenoid"])
+    (disk(1.0, 64, 128), P),
+], ids=["disk", "catenoid", "disk-64-128"])
 def test_graph_extract_equals_per_point_systems(mesh, base):
     chart = build_chart(BALL, base, 0.4)
     w1, w2 = _scenario_halfplane(chart, mesh)
@@ -244,7 +254,69 @@ def test_graph_extract_equals_per_point_systems(mesh, base):
     sample = graph_extract(chart, mesh, (w1, w2), spec)
     hits = _graph_extract_per_point(chart, mesh, w1, w2, spec)
     assert sample.sheet_count == max(len(h) for h in hits.values()) >= 1
-    for (i, j), want in hits.items():
-        k = len(want)
-        assert sample.valid[i, j, :k].all() and not sample.valid[i, j, k:].any()
-        assert np.array_equal(sample.u[i, j, :k], want)
+    want = np.full(sample.u.shape, np.nan)
+    for (i, j), found in hits.items():
+        want[i, j, :len(found)] = found
+    # the closed-form barycentrics round differently from the 3x3 solves
+    assert np.array_equal(sample.valid, ~np.isnan(want))
+    assert np.abs(sample.u - want)[sample.valid].max() <= 1e-15
+    reference = GraphSample(sample.t_values, sample.s_values, want, ~np.isnan(want),
+                            sample.sheet_count)
+    assert abs(neumann_residual(sample) - neumann_residual(reference)) <= 1e-15
+
+
+_FLAT = Plane((0, 0, 0), (1, 0, 0))
+# an orthonormal frame (w1, w2, w3) of chart space, turned off its axes
+_W = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))[0].T
+_W[2] = np.cross(_W[0], _W[1])
+
+
+def _sheet(tsu, faces):
+    """The mesh whose vertices have frame coordinates (t, s, u) in the
+    affine chart of the plane x = 0 at the origin, and that chart."""
+    chart = build_chart(_FLAT, np.zeros(3), 1.0)
+    return chart, TriangleMesh(chart.from_fermi(np.asarray(tsu) @ _W), faces)
+
+
+def _lift(patch, u):
+    """(t, s, u(t, s)) at the vertices of a flat grid patch."""
+    t, s = patch.vertices[:, 0], patch.vertices[:, 1]
+    return np.column_stack([t, s, u(t, s)])
+
+
+def test_tilted_plane_heights_are_exact():
+    # mesh lines every 0.05 in t and 0.04 in s: every grid point falls on a
+    # vertex or on an edge shared by two faces, and each is one sheet
+    patch = grid_patch(10, 10, x_range=(-0.1, 0.4), y_range=(-0.2, 0.2))
+    chart, mesh = _sheet(_lift(patch, lambda t, s: 0.3 * t - 0.7 * s), patch.faces)
+    spec = GridSpec(h=0.05, nt=6, s_half=0.12, ns=13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample = graph_extract(chart, mesh, (_W[0], _W[1]), spec)
+    assert sample.sheet_count == 1 and sample.valid.all()
+    t, s = np.meshgrid(sample.t_values, sample.s_values, indexing="ij")
+    assert np.abs(sample.u[..., 0] - (0.3 * t - 0.7 * s)).max() <= 1e-14
+
+
+def test_faces_parallel_to_the_height_axis_are_skipped():
+    # a step: u = 0 for s < 0.01, a vertical wall at s = 0.01, u = 0.1 past it
+    lower = grid_patch(5, 4, x_range=(-0.1, 0.4), y_range=(-0.2, 0.01))
+    upper = grid_patch(5, 4, x_range=(-0.1, 0.4), y_range=(0.01, 0.2))
+    wall = grid_patch(5, 2, x_range=(-0.1, 0.4), y_range=(0.0, 0.1))
+    tsu = np.vstack([_lift(lower, lambda t, s: np.zeros_like(t)),
+                     _lift(upper, lambda t, s: np.full_like(t, 0.1)),
+                     wall.vertices[:, [0, 2, 1]] + [0.0, 0.01, 0.0]])
+    n1, n2 = lower.n_vertices, lower.n_vertices + upper.n_vertices
+    faces = np.vstack([lower.faces, upper.faces + n1, wall.faces + n2])
+    chart, mesh = _sheet(tsu, faces)
+    spec = GridSpec(h=0.05, nt=4, s_half=0.1, ns=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample = graph_extract(chart, mesh, (_W[0], _W[1]), spec)
+        assert sample.sheet_count == 1 and sample.valid.all()
+        want = np.where(sample.s_values > 0.01, 0.1, 0.0)
+        assert np.abs(sample.u[..., 0] - want).max() <= 1e-14
+        # a wall alone meets no grid line
+        chart, mesh = _sheet(tsu[n2:] - [0.0, 0.01, 0.0], wall.faces)
+        with pytest.raises(ValueError, match="no intersection"):
+            graph_extract(chart, mesh, (_W[0], _W[1]), spec)
